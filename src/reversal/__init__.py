@@ -13,7 +13,6 @@ from .cancellativity import (
     check_left_cancellative,
     check_right_cancellative,
     common_right_multiple,
-    has_total_lcm_shape,
     right_lcm,
 )
 from .catalog import CatalogEntry, braid, colored_braid, malcev, restricted_colored
@@ -33,7 +32,6 @@ from .congruence import (
     EquivalenceOutcome,
     INFINITE,
     are_equivalent,
-    comb_distance,
     equivalence_class,
 )
 from .core import (
@@ -60,6 +58,7 @@ from .grids import (
     TargetSearch,
     Tile,
     TileKind,
+    check_grid,
     compose_h,
     grid_from_json,
     grid_to_json,
@@ -70,7 +69,6 @@ from .grids import (
     reverse_targets,
     split_h,
     tiles,
-    validate_grid,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -149,15 +149,3 @@ def right_lcm(
     u1, v1 = outcome.grids[0].target
     return MultipleResult(MultipleKind.LCM, multiple=u + v1, complements=(u1, v1))
 
-
-def has_total_lcm_shape(p: Presentation) -> bool:
-    """Syntactic check: every pair of distinct generators heads a
-    length-(1,1)-complement relation s·t' = t·s'."""
-    covered: set[frozenset[int]] = set()
-    for r in p.relations:
-        if len(r.lhs) == 2 and len(r.rhs) == 2 and r.lhs[0] != r.rhs[0]:
-            covered.add(frozenset((r.lhs[0], r.rhs[0])))
-    n = len(p.letters)
-    return all(
-        frozenset((s, t)) in covered for s in range(n) for t in range(s + 1, n)
-    )

@@ -190,18 +190,5 @@ def are_equivalent(
     return EquivalenceOutcome(EquivStatus.NOT_EQUIVALENT, None, explored)
 
 
-def comb_distance(
-    p: Presentation, u: Word, v: Word, b: Budget = DEFAULT_BUDGET
-) -> int | float | None:
-    """dist(u, v): an int when equivalent, INFINITE when provably not,
-    None when the budget ran out."""
-    outcome = are_equivalent(p, u, v, b)
-    if outcome.status is EquivStatus.EQUIVALENT:
-        return outcome.distance
-    if outcome.status is EquivStatus.NOT_EQUIVALENT:
-        return INFINITE
-    return None
-
-
 def clear_caches() -> None:
     _bfs_class.cache_clear()

@@ -52,9 +52,6 @@ class Relation:
     rhs: Word
     index: int
 
-    def sides(self) -> tuple[Word, Word]:
-        return (self.lhs, self.rhs)
-
     def as_pair(self) -> frozenset[Word]:
         return frozenset((self.lhs, self.rhs))
 
@@ -341,9 +338,7 @@ def is_right_complemented(p: Presentation) -> bool:
             return False
         s, t = r.lhs[0], r.rhs[0]
         if s == t:
-            if r.lhs != r.rhs:
-                return False
-            continue
+            return False
         pair = frozenset((s, t))
         if pair in seen:
             return False

@@ -1,4 +1,4 @@
-"""Reversing grids: elementary tiles, exhaustive grid enumeration, replay.
+"""Reversing grids: elementary tiles, grid enumeration, replay.
 
 A grid is a rectangular van Kampen diagram assembled from five kinds of
 tiles.  A relation tile for left letter s and top letter t realizes an
@@ -12,25 +12,31 @@ cross with pass tiles; this is what makes cell counts and shapes agree
 with hand-drawn grids.  The boundary words of a grid are the segment
 labels with ε dropped.
 
-Enumeration follows one canonical recursion: fill the corner cell, then
-the block to its right (left edge = the corner tile's right output), then
-the block below (top edge = the corner's bottom output followed by the
-right block's bottom edge).  The cell sequence in this order is the trace;
-two grids are equal iff their traces are equal, and replaying a trace is
-deterministic.  Termination is not guaranteed for arbitrary presentations,
-so budgets bound cells per branch and total grids.
+Grids are built by factor reversing.  The boundary of an unfinished grid
+is a signed word: its left segments inverted, then its top segments, so
+a grid from (u, v) starts as u⁻¹v.  Placing a tile with left input s and
+top input t replaces a factor s⁻¹t by b·r⁻¹, where b and r are the tile's
+bottom and right outputs.  Cells always reverse the rightmost factor s⁻¹t;
+when none is left the word is v1·u1⁻¹ and (u1, v1) is the target.  This
+order fills the corner cell, then the block to its right, then the block
+below.  The cell sequence in this order is the trace; two grids are equal
+iff their traces are equal, and replaying a trace is deterministic.
+
+Termination is not guaranteed for arbitrary presentations, so two budgets
+bound an enumeration: `max_cells` bounds the cells of each branch (one
+partial grid), `max_grids` the complete grids found in total.
 """
 
 from __future__ import annotations
 
 import enum
-import sys
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
-from .congruence import Budget, DEFAULT_BUDGET
-from .core import Presentation, PresentationError, Word
+from .congruence import Budget, DEFAULT_BUDGET, are_equivalent
+from .core import Presentation, PresentationError, Word, is_right_complemented
 
 # Edge segments are labelled by a letter id, or by None for ε.
 EPS_WORD: Word = ()
@@ -136,19 +142,26 @@ def letter_tiles(p: Presentation, s: int, t: int) -> tuple[Tile, ...]:
     return tuple(out)
 
 
-
 def tiles(
-    p: Presentation, left: int | None, top: int | None
+    p: Presentation | None, left: int | None, top: int | None
 ) -> tuple[Tile, ...]:
     """All tiles applicable to a cell with the given inputs; an empty
-    sequence means the cell is stuck."""
+    sequence means the cell is stuck.  A cell with an ε input has exactly
+    one tile, whatever the presentation; `p` is read at letter/letter
+    cells only."""
+    if left is None or top is None:
+        return _forced(left, top)
+    return letter_tiles(p, left, top)
+
+
+@lru_cache(maxsize=None)
+def _forced(left: int | None, top: int | None) -> tuple[Tile]:
+    # Tiles are immutable, so the few forced ones are built once each.
     if left is None and top is None:
         return (Tile(TileKind.EMPTY, None, None, EPS_WORD, EPS_WORD),)
     if top is None:
         return (Tile(TileKind.PASS_LEFT, left, None, right=(left,), bottom=EPS_WORD),)
-    if left is None:
-        return (Tile(TileKind.PASS_TOP, None, top, right=EPS_WORD, bottom=(top,)),)
-    return letter_tiles(p, left, top)
+    return (Tile(TileKind.PASS_TOP, None, top, right=EPS_WORD, bottom=(top,)),)
 
 
 def _segs(w: Word) -> tuple:
@@ -156,78 +169,86 @@ def _segs(w: Word) -> tuple:
     return w if w else (None,)
 
 
-def _word(segs: Sequence) -> Word:
-    return tuple(s for s in segs if s is not None)
+# ---------------------------------------------------------------------------
+# The cell filler: every grid is built here.
+# ---------------------------------------------------------------------------
 
 
-class _BudgetHit(Exception):
-    pass
+def _outputs(tile: Tile, left: object, top: object) -> tuple[tuple, tuple]:
+    return _segs(tile.right), _segs(tile.bottom)
 
 
-@dataclass
-class _SearchState:
-    budget: Budget
-    stuck: set[tuple[int, int]] = field(default_factory=set)
-    cells_filled: int = 0
+def _fill(
+    left: Sequence,
+    top: Sequence,
+    choose: Callable[[object, object], Sequence[Tile]],
+    carry: Callable[[Tile, object, object], tuple[Sequence, Sequence]] = _outputs,
+    max_cells: float = math.inf,
+    max_grids: float = math.inf,
+) -> tuple[list[tuple[list, list, list]], set, int, bool]:
+    """Fill the grid with sides `left` and `top` cell by cell.
 
+    The boundary word is two stacks around a cursor: `before` holds
+    (segment, inverted) pairs, the one left of the cursor on top, and
+    `after` the upright segments right of it, leftmost on top.  Inverted
+    segments past `after` are the finished right side, kept top first in
+    `right`.  A cell reverses the factor s⁻¹t at the cursor, pushing b·r⁻¹
+    onto `before`; the cursor then moves left to the rightmost factor s⁻¹t.
 
-@dataclass(frozen=True)
-class _Fill:
-    cells: tuple[Tile, ...]
-    right: tuple
-    bottom: tuple
-
-
-_MAX_DEPTH = 4000
-
-
-@contextmanager
-def _deep_recursion():
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 3 * _MAX_DEPTH))
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(old)
-
-
-def _fill_all(
-    p: Presentation, L: tuple, T: tuple, used: int, st: _SearchState, depth: int
-) -> list[_Fill]:
-    """All complete fillings of a block with left segments L and top
-    segments T.  `used` counts the cells already committed on the current
-    branch; exceeding the budget aborts the whole search."""
-    if depth > _MAX_DEPTH:
-        raise _BudgetHit
-    if not L:
-        return [_Fill((), (), T)]
-    if not T:
-        return [_Fill((), L, ())]
-    ell, top = L[0], T[0]
-    options = tiles(p, ell, top)
-    if not options:
-        st.stuck.add((ell, top))
-        return []
-    out: list[_Fill] = []
-    b = st.budget
-    for tile in options:
-        if used + 1 > b.max_cells:
-            raise _BudgetHit
-        st.cells_filled += 1
-        for up in _fill_all(p, _segs(tile.right), T[1:], used + 1, st, depth + 1):
-            low_used = used + 1 + len(up.cells)
-            lower_top = _segs(tile.bottom) + up.bottom
-            for low in _fill_all(p, L[1:], lower_top, low_used, st, depth + 1):
-                out.append(
-                    _Fill(
-                        (tile,) + up.cells + low.cells,
-                        up.right + low.right,
-                        low.bottom,
-                    )
+    `choose(s, t)` offers the tiles for a cell with inputs s and t: the
+    search forks depth first where it offers several, and a branch ends
+    where it offers none.  `carry(tile, s, t)` gives a placed tile's right
+    and bottom output segments; segments are labels, or (label, data)
+    pairs for replays.  Returns (fillings, stuck, placed, within_budget):
+    the (cells, right, bottom) of each complete grid, the input pairs of
+    the cells where a branch ended, the tiles placed on all branches, and
+    False if the search stopped because a branch would exceed max_cells
+    cells or the fillings outnumbered max_grids.
+    """
+    fillings: list[tuple[list, list, list]] = []
+    stuck = set()
+    placed = 0
+    start = ([(s, True) for s in reversed(left)], list(reversed(top)), [], [], None)
+    branches = [start]
+    while branches:
+        before, after, right, cells, tile = branches.pop()
+        while True:
+            if tile is not None:
+                s, t = before.pop()[0], after.pop()
+                r, b = carry(tile, s, t)
+                before += [(x, False) for x in b]
+                before += [(x, True) for x in reversed(r)]
+                cells.append(tile)
+                placed += 1
+            while before and not (after and before[-1][1]):
+                seg, inverted = before.pop()
+                (right if inverted else after).append(seg)
+            if not before:
+                fillings.append((cells, right, after[::-1]))
+                if len(fillings) > max_grids:
+                    return fillings, stuck, placed, False
+                break
+            s, t = before[-1][0], after[-1]
+            options = choose(s, t)
+            if not options:
+                stuck.add((s, t))
+                break
+            if len(cells) >= max_cells:
+                return fillings, stuck, placed, False
+            for other in reversed(options[1:]):
+                branches.append(
+                    (before.copy(), after.copy(), right.copy(), cells.copy(), other)
                 )
-                if len(out) > b.max_grids:
-                    raise _BudgetHit
-    return out
+            tile = options[0]
+    return fillings, stuck, placed, True
+
+
+def _grid(
+    letters: tuple[str, ...], source: tuple[Word, Word], filling: tuple
+) -> Grid:
+    cells, right, bottom = filling
+    target = tuple(tuple(s for s in side if s is not None) for side in (right, bottom))
+    return Grid(letters, source, target, tuple(cells))
 
 
 def _require_reversible(p: Presentation, *words: Word) -> None:
@@ -248,46 +269,34 @@ def reverse_enumerate(
 
     Grids are returned sorted by trace; stuck letter pairs encountered on
     dead branches are recorded so that "no grid" outcomes carry witnesses.
+    On BUDGET_EXCEEDED, `stuck` and `cells_filled` cover the branches
+    searched, depth first, before the limit was hit.
     """
     _require_reversible(p, u, v)
-    st = _SearchState(b)
-    try:
-        with _deep_recursion():
-            fills = _fill_all(p, tuple(u), tuple(v), 0, st, 0)
-    except _BudgetHit:
-        return ReversalOutcome(
-            ReversalStatus.BUDGET_EXCEEDED, (), tuple(sorted(st.stuck)), st.cells_filled
-        )
-    grids = [
-        Grid(p.letters, (u, v), (_word(f.right), _word(f.bottom)), f.cells)
-        for f in fills
-    ]
-    grids.sort(key=Grid.trace_key)
-    deduped: list[Grid] = []
-    for g in grids:
-        if not deduped or deduped[-1].cells != g.cells:
-            deduped.append(g)
-    if deduped or not st.stuck:
-        status = ReversalStatus.COMPLETED
-    else:
-        status = ReversalStatus.STUCK_ONLY
-    return ReversalOutcome(
-        status, tuple(deduped), tuple(sorted(st.stuck)), st.cells_filled
+    fillings, stuck, placed, within_budget = _fill(
+        u, v, lambda s, t: tiles(p, s, t), max_cells=b.max_cells, max_grids=b.max_grids
     )
+    if not within_budget:
+        status, grids = ReversalStatus.BUDGET_EXCEEDED, []
+    else:
+        # Distinct branches differ in some tile, so no grid comes twice.
+        grids = [_grid(p.letters, (u, v), f) for f in fillings]
+        if len(grids) > 1:  # a trace key is costly, and one grid needs none
+            grids.sort(key=Grid.trace_key)
+        ok = grids or not stuck
+        status = ReversalStatus.COMPLETED if ok else ReversalStatus.STUCK_ONLY
+    return ReversalOutcome(status, tuple(grids), tuple(sorted(stuck)), placed)
 
 
 def reverse_complemented(
     p: Presentation, u: Word, v: Word, b: Budget = DEFAULT_BUDGET
 ) -> ReversalOutcome:
     """Deterministic reversing for right-complemented presentations: the
-    same recursion, with at most one applicable tile per cell."""
-    from .core import is_right_complemented
-
+    same search, with at most one applicable tile per cell, hence at most
+    one grid."""
     if not is_right_complemented(p):
         raise PresentationError("presentation is not right complemented")
-    outcome = reverse_enumerate(p, u, v, b)
-    assert len(outcome.grids) <= 1, "complemented reversing produced several grids"
-    return outcome
+    return reverse_enumerate(p, u, v, b)
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +306,9 @@ def reverse_complemented(
 # does not need the grids themselves.  The same recursion, memoized on word
 # pairs, computes the set of targets while sharing repeated subproblems; ε
 # segments can be dropped here because pass tiles never change the words.
+# Sharing sub-blocks across branches is what a grid filler must not do, so
+# this search has its own loop: each subproblem is a generator on an
+# explicit stack, which yields the word pairs whose targets it needs.
 # ---------------------------------------------------------------------------
 
 
@@ -314,27 +326,20 @@ def reverse_targets(
     """The set of targets of all grids from (u, v).
 
     `complete` is False when the step budget (max_cells applications), a
-    target-set cap (max_grids), a depth cap, or a cyclic subproblem cut the
-    search; a True value certifies the target set is exhaustive.
+    target-set cap (max_grids), or a cyclic subproblem cut the search; a
+    True value certifies the target set is exhaustive.
     """
     _require_reversible(p, u, v)
     done: dict[tuple[Word, Word], frozenset[tuple[Word, Word]]] = {}
     active: set[tuple[Word, Word]] = set()
     stuck: set[tuple[int, int]] = set()
-    state = {"steps": 0, "complete": True}
+    steps = 0
+    complete = True
 
-    def targets(uu: Word, vv: Word, depth: int) -> frozenset[tuple[Word, Word]]:
-        key = (uu, vv)
-        if key in done:
-            return done[key]
-        if key in active or depth > _MAX_DEPTH:
-            state["complete"] = False
-            return frozenset()
-        if not uu or not vv:
-            res = frozenset({(uu, vv)})
-            done[key] = res
-            return res
-        active.add(key)
+    def targets(uu: Word, vv: Word):
+        """The targets of (uu, vv), both nonempty: yields each word pair
+        whose targets it needs and is sent them back."""
+        nonlocal steps, complete
         s, t = uu[0], vv[0]
         u2, v2 = uu[1:], vv[1:]
         options = letter_tiles(p, s, t)
@@ -342,93 +347,114 @@ def reverse_targets(
             stuck.add((s, t))
         acc: set[tuple[Word, Word]] = set()
         for tile in options:
-            state["steps"] += 1
-            if state["steps"] > b.max_cells:
-                state["complete"] = False
+            steps += 1
+            if steps > b.max_cells:
+                complete = False
                 break
-            for a1, c in targets(tile.right, v2, depth + 1):
-                for u1, v1 in targets(u2, tile.bottom + c, depth + 1):
+            for a1, c in (yield tile.right, v2):
+                for u1, v1 in (yield u2, tile.bottom + c):
                     acc.add((a1 + u1, v1))
                     if len(acc) > b.max_grids:
-                        state["complete"] = False
+                        complete = False
                         break
-        active.discard(key)
-        res = frozenset(acc)
-        done[key] = res
-        return res
+        return frozenset(acc)
 
-    with _deep_recursion():
-        result = targets(u, v, 0)
-    return TargetSearch(
-        result, state["complete"], frozenset(stuck), explored=state["steps"]
-    )
+    calls: list = []  # (key, generator) of the open subproblems, innermost last
+    key = (u, v)
+    while True:
+        if key in done:
+            result = done[key]
+        elif key in active:
+            complete = False
+            result = frozenset()
+        elif not key[0] or not key[1]:
+            result = done[key] = frozenset({key})
+        else:
+            active.add(key)
+            calls.append((key, targets(*key)))
+            result = None
+        # Send the result to the innermost open subproblem, closing those
+        # it completes, until one asks for another pair.
+        while calls:
+            try:
+                key = calls[-1][1].send(result)
+                break
+            except StopIteration as stop:
+                closed = calls.pop()[0]
+                active.discard(closed)
+                result = done[closed] = stop.value
+        else:
+            return TargetSearch(
+                result, complete, frozenset(stuck), explored=steps
+            )
 
 
 # ---------------------------------------------------------------------------
-# Replay: rebuild a grid from its trace, compose and split grids.
+# Replay: rebuild a grid from its trace, check, compose and split grids.
+#
+# Replays carry a datum with every segment, as a (label, data) pair: a
+# region tag on top segments, which a tile's bottom outputs inherit, or the
+# coordinates a drawing needs.
 # ---------------------------------------------------------------------------
 
 
-def _fill_replay(
-    L: tuple,
-    T: tuple,
-    choose: Callable[[int, int, object], Tile],
-) -> _Fill:
-    """Deterministic refill.  T holds (segment, tag) pairs; `choose` is
-    consulted at letter/letter cells only, all other tiles are forced.
-    Returns a _Fill whose bottom keeps (segment, tag) pairs."""
-    if not L:
-        return _Fill((), (), T)
-    if not T:
-        return _Fill((), L, ())
-    ell = L[0]
-    top, tag = T[0]
-    if ell is None and top is None:
-        tile = Tile(TileKind.EMPTY, None, None, EPS_WORD, EPS_WORD)
-    elif top is None:
-        tile = Tile(TileKind.PASS_LEFT, ell, None, right=(ell,), bottom=EPS_WORD)
-    elif ell is None:
-        tile = Tile(TileKind.PASS_TOP, None, top, right=EPS_WORD, bottom=(top,))
-    else:
-        tile = choose(ell, top, tag)
-        if tile.left != ell or tile.top != top:
+def _pairs(w: Sequence, data: object = None) -> list[tuple]:
+    return [(s, data) for s in w]
+
+
+def _carry_tag(tile: Tile, left: tuple, top: tuple) -> tuple[list, list]:
+    return _pairs(_segs(tile.right)), _pairs(_segs(tile.bottom), top[1])
+
+
+def _replay(
+    left: Sequence[tuple],
+    top: Sequence[tuple],
+    next_tile: Callable[[object], Tile],
+    carry: Callable[[Tile, tuple, tuple], tuple[list, list]] = _carry_tag,
+) -> tuple[list, list, list]:
+    """The one filling (cells, right labels, bottom labels) of the grid with
+    sides `left` and `top`: ε cells take their forced tile, each
+    letter/letter cell the tile next_tile(data of its top segment)."""
+
+    def choose(left_seg: tuple, top_seg: tuple) -> tuple[Tile, ...]:
+        ell, t = left_seg[0], top_seg[0]
+        if ell is None or t is None:
+            return tiles(None, ell, t)
+        tile = next_tile(top_seg[1])
+        if tile.left != ell or tile.top != t:
             raise GridError(
-                f"edge mismatch: expected cell ({ell}, {top}), "
+                f"edge mismatch: expected cell ({ell}, {t}), "
                 f"trace has ({tile.left}, {tile.top})"
             )
-    up = _fill_replay(_segs(tile.right), T[1:], choose)
-    lower_top = tuple((s, tag) for s in _segs(tile.bottom)) + up.bottom
-    low = _fill_replay(L[1:], lower_top, choose)
-    return _Fill((tile,) + up.cells + low.cells, up.right + low.right, low.bottom)
+        return (tile,)
+
+    ((cells, right, bottom),), _, _, _ = _fill(left, top, choose, carry)
+    return cells, [s for s, _ in right], [s for s, _ in bottom]
 
 
-def _tagged(w: Word, tag: object) -> tuple:
-    return tuple((s, tag) for s in w)
+def _next_tile(queue) -> Tile:
+    tile = next(queue, None)
+    if tile is None:
+        raise GridError("trace ended before the grid was filled")
+    return tile
+
+
+def _rebuild(
+    letters: tuple[str, ...], source: tuple[Word, Word], choice_cells: list[Tile]
+) -> Grid:
+    """The grid from `source` whose letter/letter cells are `choice_cells`,
+    in trace order."""
+    queue = iter(choice_cells)
+    filling = _replay(_pairs(source[0]), _pairs(source[1]), lambda _: _next_tile(queue))
+    if next(queue, None) is not None:
+        raise GridError("trace has unused cells")
+    return _grid(letters, source, filling)
 
 
 def replay(g: Grid) -> Grid:
     """Rebuild a grid from its source and trace; raises GridError when the
     trace does not fit."""
-    queue = iter(g.choice_cells())
-
-    def choose(ell: int, top: int, tag: object) -> Tile:
-        try:
-            tile = next(queue)
-        except StopIteration:
-            raise GridError("trace ended before the grid was filled") from None
-        return tile
-
-    with _deep_recursion():
-        fill = _fill_replay(tuple(g.source[0]), _tagged(g.source[1], None), choose)
-    if next(queue, None) is not None:
-        raise GridError("trace has unused cells")
-    rebuilt = Grid(
-        g.letters,
-        g.source,
-        (_word(fill.right), _word(s for s, _ in fill.bottom)),
-        fill.cells,
-    )
-    return rebuilt
+    return _rebuild(g.letters, g.source, g.choice_cells())
 
 
 def compose_h(g1: Grid, g2: Grid) -> Grid:
@@ -442,25 +468,13 @@ def compose_h(g1: Grid, g2: Grid) -> Grid:
             "edge mismatch: right word of g1 differs from left word of g2"
         )
     queues = {1: iter(g1.choice_cells()), 2: iter(g2.choice_cells())}
-
-    def choose(ell: int, top: int, tag: object) -> Tile:
-        tile = next(queues[tag], None)
-        if tile is None:
-            raise GridError("component trace ended before its region was filled")
-        return tile
-
-    T = _tagged(g1.source[1], 1) + _tagged(g2.source[1], 2)
-    with _deep_recursion():
-        fill = _fill_replay(tuple(g1.source[0]), T, choose)
+    u = g1.source[0]
+    top = _pairs(g1.source[1], 1) + _pairs(g2.source[1], 2)
+    filling = _replay(_pairs(u), top, lambda tag: _next_tile(queues[tag]))
     for tag, queue in queues.items():
         if next(queue, None) is not None:
             raise GridError(f"grid {tag} has cells not used by the composition")
-    composed = Grid(
-        g1.letters,
-        (g1.source[0], g1.source[1] + g2.source[1]),
-        (_word(fill.right), _word(s for s, _ in fill.bottom)),
-        fill.cells,
-    )
+    composed = _grid(g1.letters, (u, g1.source[1] + g2.source[1]), filling)
     expected = (g2.target[0], g1.target[1] + g2.target[1])
     if composed.target != expected:
         raise GridError("composition produced an unexpected target")
@@ -470,62 +484,25 @@ def compose_h(g1: Grid, g2: Grid) -> Grid:
 def split_h(g: Grid, k: int) -> tuple[Grid, Grid]:
     """Split a grid below the first k letters of its top word, returning
     the two grids whose horizontal composition is `g`."""
-    v = g.source[1]
+    u, v = g.source
     if not 0 <= k <= len(v):
         raise GridError(f"split position {k} out of range")
     queue = iter(g.choice_cells())
     by_region: dict[object, list[Tile]] = {1: [], 2: []}
 
-    def record(ell: int, top: int, tag: object) -> Tile:
-        tile = next(queue, None)
-        if tile is None:
-            raise GridError("trace ended before the grid was filled")
+    def record(tag: object) -> Tile:
+        tile = _next_tile(queue)
         by_region[tag].append(tile)
         return tile
 
-    # First pass: walk the original trace, attributing each choice cell to
-    # the region of its top segment.
-    T = _tagged(v[:k], 1) + _tagged(v[k:], 2)
-    with _deep_recursion():
-        _fill_replay(tuple(g.source[0]), T, record)
+    # Walk the original trace, attributing each choice cell to the region
+    # of its top segment.
+    _replay(_pairs(u), _pairs(v[:k], 1) + _pairs(v[k:], 2), record)
     if next(queue, None) is not None:
         raise GridError("trace has unused cells")
-
-    left_queue = iter(by_region[1])
-
-    def choose_left(ell: int, top: int, tag: object) -> Tile:
-        return next(left_queue)
-
-    with _deep_recursion():
-        left_fill = _fill_replay(tuple(g.source[0]), _tagged(v[:k], None), choose_left)
-    g_left = Grid(
-        g.letters,
-        (g.source[0], v[:k]),
-        (_word(left_fill.right), _word(s for s, _ in left_fill.bottom)),
-        left_fill.cells,
-    )
-
-    right_queue = iter(by_region[2])
-
-    def choose_right(ell: int, top: int, tag: object) -> Tile:
-        return next(right_queue)
-
-    with _deep_recursion():
-        right_fill = _fill_replay(
-            tuple(g_left.target[0]), _tagged(v[k:], None), choose_right
-        )
-    g_right = Grid(
-        g.letters,
-        (g_left.target[0], v[k:]),
-        (_word(right_fill.right), _word(s for s, _ in right_fill.bottom)),
-        right_fill.cells,
-    )
+    g_left = _rebuild(g.letters, (u, v[:k]), by_region[1])
+    g_right = _rebuild(g.letters, (g_left.target[0], v[k:]), by_region[2])
     return g_left, g_right
-
-
-# ---------------------------------------------------------------------------
-# Validation.
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -544,49 +521,24 @@ def check_grid(
     edge to match; optionally confirm u·v1 ≡ v·u1 with the oracle."""
     if g.letters != p.letters:
         return GridCheck(False, "alphabet mismatch")
-    choice_list = g.choice_cells()
-    position = {"i": 0}
-
-    def choose(ell: int, top: int, tag: object) -> Tile:
-        i = position["i"]
-        if i >= len(choice_list):
-            raise GridError(f"trace ended at choice cell {i}")
-        tile = choice_list[i]
-        position["i"] += 1
-        if tile not in letter_tiles(p, ell, top):
-            raise GridError(f"cell {i}: tile is not applicable at ({ell}, {top})")
-        return tile
-
+    for i, tile in enumerate(g.choice_cells()):
+        if tile not in letter_tiles(p, tile.left, tile.top):
+            return GridCheck(False, f"choice cell {i}: tile is not applicable")
     try:
-        with _deep_recursion():
-            fill = _fill_replay(tuple(g.source[0]), _tagged(g.source[1], None), choose)
+        rebuilt = replay(g)
     except GridError as exc:
         return GridCheck(False, str(exc))
-    if position["i"] != len(choice_list):
-        return GridCheck(False, "trace has unused cells")
-    if fill.cells != g.cells:
+    if rebuilt.cells != g.cells:
         return GridCheck(False, "replayed cells differ from the stored trace")
-    target = (_word(fill.right), _word(s for s, _ in fill.bottom))
-    if target != g.target:
-        return GridCheck(False, f"target mismatch: replay gives {target}")
+    if rebuilt.target != g.target:
+        return GridCheck(False, f"target mismatch: replay gives {rebuilt.target}")
     if check_equivalence:
-        from .congruence import are_equivalent
-
         u, v = g.source
         u1, v1 = g.target
         outcome = are_equivalent(p, u + v1, v + u1, b)
         if not outcome.is_equivalent:
             return GridCheck(False, f"u·v1 vs v·u1: {outcome.status.value}")
     return GridCheck(True)
-
-
-def validate_grid(
-    p: Presentation,
-    g: Grid,
-    b: Budget = DEFAULT_BUDGET,
-    check_equivalence: bool = False,
-) -> bool:
-    return check_grid(p, g, b, check_equivalence).ok
 
 
 # ---------------------------------------------------------------------------
@@ -615,59 +567,29 @@ def render_grid(g: Grid) -> str:
     def label(seg) -> str:
         return EPS_LABEL if seg is None else g.letters[seg]
 
-    queue = iter(g.choice_cells())
+    def split(segs: tuple, a: Fraction, c: Fraction) -> list[tuple]:
+        step = (c - a) / len(segs)
+        return [(s, (a + i * step, a + (i + 1) * step)) for i, s in enumerate(segs)]
 
-    def choose(ell: int, top: int, tag: object) -> Tile:
-        return next(queue)
-
-    u, v = g.source
-    L0 = tuple((s, (Fraction(i), Fraction(i + 1))) for i, s in enumerate(u))
-    T0 = tuple((s, (Fraction(j), Fraction(j + 1))) for j, s in enumerate(v))
-
-    def run(L, T):
-        """Returns (right edge segments with y ivs, bottom segments with x ivs)."""
-        if not L:
-            return (), T
-        if not T:
-            return L, ()
-        (ell, y_iv), (top, x_iv) = L[0], T[0]
-        if ell is None and top is None:
-            tile = Tile(TileKind.EMPTY, None, None, EPS_WORD, EPS_WORD)
-        elif top is None:
-            tile = Tile(TileKind.PASS_LEFT, ell, None, right=(ell,), bottom=EPS_WORD)
-        elif ell is None:
-            tile = Tile(TileKind.PASS_TOP, None, top, right=EPS_WORD, bottom=(top,))
-        else:
-            tile = choose(ell, top, None)
-        y0, y1 = y_iv
-        x0, x1 = x_iv
-        hedges.setdefault((y0, x0, x1), label(top))
+    def carry(tile: Tile, left: tuple, top: tuple) -> tuple[list, list]:
+        """Outputs carry their intervals; every edge met is recorded."""
+        (ell, (y0, y1)), (t, (x0, x1)) = left, top
+        hedges.setdefault((y0, x0, x1), label(t))
         vedges.setdefault((x0, y0, y1), label(ell))
-        bot = _segs(tile.bottom)
-        xstep = (x1 - x0) / len(bot)
-        bot_ivs = tuple(
-            (s, (x0 + i * xstep, x0 + (i + 1) * xstep)) for i, s in enumerate(bot)
-        )
-        for s, (a, c) in bot_ivs:
+        bottom = split(_segs(tile.bottom), x0, x1)
+        for s, (a, c) in bottom:
             hedges.setdefault((y1, a, c), label(s))
-        rgt = _segs(tile.right)
-        ystep = (y1 - y0) / len(rgt)
-        rgt_ivs = tuple(
-            (s, (y0 + i * ystep, y0 + (i + 1) * ystep)) for i, s in enumerate(rgt)
-        )
-        for s, (a, c) in rgt_ivs:
+        right = split(_segs(tile.right), y0, y1)
+        for s, (a, c) in right:
             vedges.setdefault((x1, a, c), label(s))
-        up_right, up_bottom = run(rgt_ivs, T[1:])
-        low_right, low_bottom = run(L[1:], bot_ivs + up_bottom)
-        return up_right + low_right, low_bottom
+        return right, bottom
 
-    with _deep_recursion():
-        run(L0, T0)
+    queue = iter(g.choice_cells())
+    left, top = (split(w, Fraction(0), Fraction(len(w))) for w in g.source)
+    _replay(left, top, lambda _: next(queue), carry)
 
     xs = sorted({x for (_, a, c) in hedges for x in (a, c)} | {x for (x, _, _) in vedges})
     ys = sorted({y for (y, _, _) in hedges} | {y for (_, a, c) in vedges for y in (a, c)})
-    xi = {x: i for i, x in enumerate(xs)}
-    yi = {y: i for i, y in enumerate(ys)}
     width = max(
         [4]
         + [len(lab) + 2 for lab in hedges.values()]
@@ -677,15 +599,10 @@ def render_grid(g: Grid) -> str:
     ncols = len(xs) + (len(xs) - 1) * width + margin
     nrows = 2 * len(ys) - 1
     canvas = [[" "] * ncols for _ in range(nrows)]
-
-    def col(x) -> int:
-        return xi[x] * (width + 1)
-
-    def row(y) -> int:
-        return yi[y] * 2
-
+    col = {x: i * (width + 1) for i, x in enumerate(xs)}
+    row = {y: i * 2 for i, y in enumerate(ys)}
     for (y, a, c), lab in sorted(hedges.items()):
-        r, c0, c1 = row(y), col(a), col(c)
+        r, c0, c1 = row[y], col[a], col[c]
         for cc in range(c0, c1 + 1):
             canvas[r][cc] = "-"
         canvas[r][c0] = canvas[r][c1] = "+"
@@ -693,7 +610,7 @@ def render_grid(g: Grid) -> str:
         for k, ch in enumerate(lab):
             canvas[r][mid + k] = ch
     for (x, a, c), lab in sorted(vedges.items()):
-        cc, r0, r1 = col(x), row(a), row(c)
+        cc, r0, r1 = col[x], row[a], row[c]
         for rr in range(r0, r1 + 1):
             if canvas[rr][cc] == " ":
                 canvas[rr][cc] = "|"
@@ -741,22 +658,21 @@ def grid_from_json(p: Presentation, doc: dict) -> Grid:
     def word(tokens: list[str]) -> Word:
         return tuple(p.letter(t) for t in tokens)
 
-    cells = []
-    for c in doc["cells"]:
-        cells.append(
-            Tile(
-                TileKind(c["kind"]),
-                seg(c["left"]),
-                seg(c["top"]),
-                word(c["right"]),
-                word(c["bottom"]),
-                c.get("rel_index"),
-                c.get("orientation"),
-            )
+    cells = tuple(
+        Tile(
+            TileKind(c["kind"]),
+            seg(c["left"]),
+            seg(c["top"]),
+            word(c["right"]),
+            word(c["bottom"]),
+            c.get("rel_index"),
+            c.get("orientation"),
         )
+        for c in doc["cells"]
+    )
     return Grid(
         p.letters,
         (word(doc["source"][0]), word(doc["source"][1])),
         (word(doc["target"][0]), word(doc["target"][1])),
-        tuple(cells),
+        cells,
     )

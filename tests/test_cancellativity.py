@@ -126,14 +126,6 @@ def test_right_lcm_minimality_bruteforce(braid3):
                 assert left_divides(p, res.multiple, z), (u, v, z)
 
 
-def test_has_total_lcm_shape(braid4):
-    assert not rv.has_total_lcm_shape(braid4)
-    p = rv.parse_presentation("gens: a b\nrel: a b = b a")
-    assert rv.has_total_lcm_shape(p)
-    free = rv.make_presentation(["a", "b"], [])
-    assert not rv.has_total_lcm_shape(free)
-
-
 def test_cancellation_soundness_spot_check():
     # Where the criterion says cancellative, the oracle must never find
     # s·u ≡ s·v with u, v inequivalent.

@@ -177,10 +177,10 @@ def test_defect_consistency(braid4):
         for g in pair.src_grids:
             dists = []
             for g2 in pair.dst_grids:
-                d1 = rv.comb_distance(braid4, g.target[0], g2.target[0])
-                d2 = rv.comb_distance(braid4, g.target[1], g2.target[1])
-                if d1 is not None and d2 is not None and d1 + d2 < INFINITE:
-                    dists.append(d1 + d2)
+                o1 = rv.are_equivalent(braid4, g.target[0], g2.target[0])
+                o2 = rv.are_equivalent(braid4, g.target[1], g2.target[1])
+                if o1.is_equivalent and o2.is_equivalent:
+                    dists.append(o1.distance + o2.distance)
             assert dists and min(dists) <= res.value
 
 

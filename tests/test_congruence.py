@@ -4,7 +4,7 @@ import random
 
 import reversal as rv
 from conftest import catalog_presentations, rand_word
-from reversal.congruence import EquivStatus, INFINITE, rewrite_neighbors
+from reversal.congruence import EquivStatus, rewrite_neighbors
 
 
 def naive_class(p: rv.Presentation, w: rv.Word) -> set[rv.Word]:
@@ -54,16 +54,17 @@ def test_class_matches_naive_closure(braid3):
 
 def test_class_closure_and_weight_invariance():
     for name, p in catalog_presentations().items():
-        rng = random.Random(hash(name) & 0xFFFF)
-        for _ in range(10):
-            w = rand_word(rng, p, 4)
-            res = rv.equivalence_class(p, w)
-            assert res.complete, name
-            weights = {p.word_weight(x) for x in res.words}
-            assert weights == {p.word_weight(w)}
-            for x in res.words:
-                for y in rewrite_neighbors(p, x):
-                    assert y in res.words
+        for k in range(3):
+            rng = random.Random(f"closure:{name}:{k}")
+            for _ in range(10):
+                w = rand_word(rng, p, 4)
+                res = rv.equivalence_class(p, w)
+                assert res.complete, name
+                weights = {p.word_weight(x) for x in res.words}
+                assert weights == {p.word_weight(w)}
+                for x in res.words:
+                    for y in rewrite_neighbors(p, x):
+                        assert y in res.words
 
 
 def test_are_equivalent_examples(braid4):
@@ -90,10 +91,11 @@ def test_are_equivalent_counter_pair_three_colors():
 
 def test_comb_distance_examples(braid4):
     w = braid4.word("s2 s3")
-    assert rv.comb_distance(braid4, w, w) == 0
-    assert rv.comb_distance(braid4, braid4.word("s1 s3"), braid4.word("s3 s1")) == 1
-    d = rv.comb_distance(braid4, braid4.word("s1 s2 s1"), braid4.word("s1 s3 s1"))
-    assert d == INFINITE
+    assert rv.are_equivalent(braid4, w, w).distance == 0
+    o = rv.are_equivalent(braid4, braid4.word("s1 s3"), braid4.word("s3 s1"))
+    assert o.status is EquivStatus.EQUIVALENT and o.distance == 1
+    o = rv.are_equivalent(braid4, braid4.word("s1 s2 s1"), braid4.word("s1 s3 s1"))
+    assert o.status is EquivStatus.NOT_EQUIVALENT and o.distance is None
 
 
 def test_comb_distance_infinite_against_naive_enumeration(braid4):
@@ -144,8 +146,9 @@ def test_distance_zero_iff_equal(braid3):
     for _ in range(30):
         u = rand_word(rng, braid3, 4)
         v = rand_word(rng, braid3, 4)
-        d = rv.comb_distance(braid3, u, v)
-        assert (d == 0) == (u == v)
+        o = rv.are_equivalent(braid3, u, v)
+        assert o.decided
+        assert (o.distance == 0) == (u == v)
 
 
 def test_budget_exhaustion_is_explicit(braid3):

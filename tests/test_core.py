@@ -142,3 +142,15 @@ def test_word_parsing_and_formatting(braid4):
     assert braid4.word_str(braid4.word("s1 s2")) == "s1 s2"
     with pytest.raises(rv.PresentationError, match="unknown letter"):
         braid4.word("s1 s9")
+
+
+def test_relation_with_one_head_is_not_right_complemented():
+    p = rv.parse_presentation("gens: a b\nrel: a b = a b")
+    assert not rv.is_right_complemented(p)
+    kinds = {d.kind for d in rv.validate(p)}
+    assert "not-right-complemented" in kinds
+    a = p.letter("a")
+    with pytest.raises(rv.PresentationError, match="complemented"):
+        rv.right_lcm(p, (a,), (a,))
+    with pytest.raises(rv.PresentationError, match="complemented"):
+        rv.reverse_complemented(p, (a,), (a,))

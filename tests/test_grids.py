@@ -213,8 +213,8 @@ def test_complemented_uniqueness(braid3, braid4):
 
 def test_validate_grid_braid(braid4):
     g = rv.reverse_enumerate(braid4, braid4.word("s1"), braid4.word("s2 s3 s2")).grids[0]
-    assert rv.validate_grid(braid4, g)
-    assert rv.validate_grid(braid4, g, check_equivalence=True)
+    assert rv.check_grid(braid4, g).ok
+    assert rv.check_grid(braid4, g, check_equivalence=True).ok
 
 
 def test_validate_grid_rejects_corruption(braid4):
@@ -224,15 +224,15 @@ def test_validate_grid_rejects_corruption(braid4):
     bad_cells = list(g.cells)
     bad_cells[0] = replace(bad_cells[0], bottom=braid4.word("s2 s2"))
     bad = rv.Grid(g.letters, g.source, g.target, tuple(bad_cells))
-    assert not rv.validate_grid(braid4, bad)
+    assert not rv.check_grid(braid4, bad).ok
 
     wrong_target = rv.Grid(g.letters, g.source, (g.target[0], ()), g.cells)
-    assert not rv.validate_grid(braid4, wrong_target)
+    assert not rv.check_grid(braid4, wrong_target).ok
 
 
 def test_validate_empty_grid(braid4):
     g = rv.reverse_enumerate(braid4, (), ()).grids[0]
-    assert rv.validate_grid(braid4, g, check_equivalence=True)
+    assert rv.check_grid(braid4, g, check_equivalence=True).ok
 
 
 def test_compose_examples(braid4):
@@ -398,3 +398,51 @@ def test_reverse_targets_stuck_witnesses(colored42):
     search = rv.reverse_targets(p, p.word("s1.a"), p.word("s1.b"))
     assert search.complete and not search.targets
     assert (p.letter("s1.a"), p.letter("s1.b")) in search.stuck
+
+
+# ---------------------------------------------------------------------------
+# Deep grids and the grid budget.
+# ---------------------------------------------------------------------------
+
+
+def test_long_column_and_row_complete(braid4):
+    s1, s3 = braid4.letter("s1"), braid4.letter("s3")
+    long = (s1,) * 4001
+    for u, v in ((long, (s3,)), ((s3,), long)):
+        out = rv.reverse_enumerate(braid4, u, v)
+        assert out.status is ReversalStatus.COMPLETED
+        (g,) = out.grids
+        assert g.cell_count == 4001 and g.target == (u, v)
+
+
+def test_grid_operations_on_20000_cells(braid4):
+    s1, s3 = braid4.letter("s1"), braid4.letter("s3")
+    long = (s1,) * 20_000
+    budget = rv.Budget(max_cells=20_000)
+    for u, v in (((s3,), long), (long, (s3,))):
+        (g,) = rv.reverse_enumerate(braid4, u, v, budget).grids
+        assert g.cell_count == 20_000
+        assert rv.replay(g) == g
+        assert rv.check_grid(braid4, g).ok
+        assert rv.compose_h(*rv.split_h(g, len(v) // 2)) == g
+    # The column: 20,001 horizontal lines with a corner at each end.
+    assert rv.render_grid(g).count("+") == 2 * 20_001
+
+
+def test_long_identical_words_reverse_to_unit(braid3):
+    w = (braid3.letter("s1"),) * 4001
+    assert rv.decide_equiv_by_reversing(braid3, w, w) is True
+
+
+def test_max_grids_counts_complete_grids_only(colored42):
+    # The right block below s1.b has more fillings than the whole grid has
+    # grids: most of them die in the block below.
+    p = colored42
+    u, v = p.word("s3.a s2.b"), p.word("s1.b s2.b s1.a")
+    full = rv.reverse_enumerate(p, u, v)
+    assert len(full.grids) == 2
+    out = rv.reverse_enumerate(p, u, v, rv.Budget(max_grids=2))
+    assert out.status is ReversalStatus.COMPLETED
+    assert out == full
+    tight = rv.reverse_enumerate(p, u, v, rv.Budget(max_grids=1))
+    assert tight.status is ReversalStatus.BUDGET_EXCEEDED
