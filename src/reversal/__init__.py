@@ -40,6 +40,8 @@ from .core import (
     Presentation,
     PresentationError,
     Relation,
+    Tile,
+    TileKind,
     Word,
     format_presentation,
     is_right_complemented,
@@ -48,7 +50,6 @@ from .core import (
     mirror,
     parse_presentation,
     validate,
-    weight_of,
 )
 from .grids import (
     Grid,
@@ -56,8 +57,6 @@ from .grids import (
     ReversalOutcome,
     ReversalStatus,
     TargetSearch,
-    Tile,
-    TileKind,
     check_grid,
     compose_h,
     grid_from_json,

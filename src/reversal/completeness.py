@@ -297,7 +297,8 @@ def defect(p: Presentation, b: Budget = DEFAULT_BUDGET) -> DefectResult:
         return DefectResult(None, None)
     if report.verdict is Verdict.INCOMPLETE:
         rep = report.witness
-        assert rep is not None
+        if rep is None:  # an incomplete verdict always has a counterexample
+            raise RuntimeError("incomplete verdict without a counterexample")
         return DefectResult(
             INFINITE,
             DefectWitness(

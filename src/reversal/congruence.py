@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import Presentation, Word
+from .core import Presentation, Word, word_text
 
 INFINITE = float("inf")
 
@@ -75,17 +75,16 @@ class ClassResult:
 
 
 def rewrite_neighbors(p: Presentation, w: Word) -> list[Word]:
-    """All words one relation application away from `w`."""
+    """All words one relation application away from `w`, by relation, then
+    orientation, then position."""
     out: list[Word] = []
-    n = len(w)
-    for rel in p.relations:
-        for src, dst in ((rel.lhs, rel.rhs), (rel.rhs, rel.lhs)):
-            if src == dst:
-                continue
-            k = len(src)
-            for i in range(n - k + 1):
-                if w[i : i + k] == src:
-                    out.append(w[:i] + dst + w[i + k :])
+    text = word_text(w)
+    for src, k, dst in p.rewrite_index:
+        if src in text:  # far cheaper than `find` on the usual miss
+            i = text.find(src)
+            while i >= 0:
+                out.append(w[:i] + dst + w[i + k :])
+                i = text.find(src, i + 1)
     return out
 
 
@@ -127,6 +126,7 @@ def equivalence_class(
     p: Presentation, w: Word, b: Budget = DEFAULT_BUDGET
 ) -> ClassResult:
     """Breadth-first closure of {w} under single relation applications."""
+    p.check_letters(w)
     dist, complete = class_distances(p, w, b)
     return ClassResult(frozenset(dist), complete, explored=len(dist))
 
@@ -142,6 +142,7 @@ def are_equivalent(
     completed level depths rule out shorter paths; an emptied frontier
     means one class was exhaustively enumerated.
     """
+    p.check_letters(u, v)
     if u == v:
         return EquivalenceOutcome(EquivStatus.EQUIVALENT, 0, explored=1)
     cap = _weight_cap(p, b, u, v)

@@ -11,12 +11,20 @@ words.  When every relation is weight-balanced, the weighted length is
 invariant under the congruence and witnesses right noetherianity of the
 presented monoid; that is the only noetherianity witness this package
 supports.
+
+A presentation compiles what the algorithms look up over and over: its
+hash, its tile table (the tiles of each letter/letter grid cell) and its
+rewrite index (the oriented relations with distinct sides).  Each is
+built lazily from the presentation alone and never changes; none caches
+a computed result.  They are not fields, so equality, `repr`, copies and
+pickles ignore them, and a derived presentation compiles its own.
 """
 
 from __future__ import annotations
 
+import enum
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -60,6 +68,36 @@ class Relation:
         return (not self.lhs) != (not self.rhs)
 
 
+class TileKind(enum.Enum):
+    RELATION = "relation"
+    CANCEL = "cancel"
+    PASS_LEFT = "pass_left"
+    PASS_TOP = "pass_top"
+    EMPTY = "empty"
+
+
+@dataclass(frozen=True)
+class Tile:
+    kind: TileKind
+    left: int | None
+    top: int | None
+    right: Word
+    bottom: Word
+    rel_index: int | None = None
+    orientation: int | None = None
+
+    def key(self) -> tuple:
+        return (
+            self.kind.value,
+            -1 if self.left is None else self.left,
+            -1 if self.top is None else self.top,
+            self.right,
+            self.bottom,
+            -1 if self.rel_index is None else self.rel_index,
+            -1 if self.orientation is None else self.orientation,
+        )
+
+
 @dataclass(frozen=True)
 class Diagnostic:
     kind: str
@@ -89,8 +127,58 @@ class Presentation:
     def epsilon_relations(self) -> tuple[int, ...]:
         return tuple(r.index for r in self.relations if r.is_epsilon)
 
-    def __hash__(self) -> int:
+    @cached_property
+    def _hash(self) -> int:
         return hash((self.letters, self.relations, self.weights))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        # Copies and pickles take the fields only: the compiled data is
+        # rebuilt on demand, and a string hash holds in one process only.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @cached_property
+    def tile_table(self) -> dict[tuple[int, int], tuple[Tile, ...]]:
+        """(s, t) -> the tiles of a cell with left letter s and top letter
+        t: the cancellation tile when s = t, then one tile per oriented
+        relation s... = t..., by relation index then orientation.  Pairs
+        with no tile are absent."""
+        table: dict[tuple[int, int], list[Tile]] = {
+            (s, s): [Tile(TileKind.CANCEL, s, s, EPSILON, EPSILON)]
+            for s in range(len(self.letters))
+        }
+        for rel in self.relations:
+            for orientation, (side_s, side_t) in enumerate(
+                ((rel.lhs, rel.rhs), (rel.rhs, rel.lhs))
+            ):
+                if side_s and side_t:
+                    s, t = side_s[0], side_t[0]
+                    table.setdefault((s, t), []).append(
+                        Tile(
+                            TileKind.RELATION,
+                            s,
+                            t,
+                            right=side_t[1:],
+                            bottom=side_s[1:],
+                            rel_index=rel.index,
+                            orientation=orientation,
+                        )
+                    )
+        return {pair: tuple(ts) for pair, ts in table.items()}
+
+    @cached_property
+    def rewrite_index(self) -> tuple[tuple[str, int, Word], ...]:
+        """(text of src, length of src, dst) for every oriented relation
+        src = dst with src != dst, by relation index then orientation; see
+        `word_text`."""
+        return tuple(
+            (word_text(src), len(src), dst)
+            for rel in self.relations
+            for src, dst in ((rel.lhs, rel.rhs), (rel.rhs, rel.lhs))
+            if src != dst
+        )
 
     def letter(self, token: str) -> int:
         try:
@@ -116,6 +204,19 @@ class Presentation:
 
     def word_weight(self, w: Word) -> int:
         return sum(self.weights[i] for i in w)
+
+    def check_letters(self, *words: Word) -> None:
+        """Raise PresentationError unless every id in `words` is a letter."""
+        for w in words:
+            for i in w:
+                if not 0 <= i < len(self.letters):
+                    raise PresentationError(f"unknown letter id {i}")
+
+
+def word_text(w: Word) -> str:
+    """A word as a string with one character per letter, so that its
+    factors can be found with the string methods."""
+    return "".join(map(chr, w))
 
 
 def make_presentation(
@@ -300,14 +401,6 @@ def format_presentation(p: Presentation) -> str:
     for r in p.relations:
         lines.append(f"rel: {p.word_str(r.lhs)} = {p.word_str(r.rhs)}")
     return "\n".join(lines) + "\n"
-
-
-def weight_of(p: Presentation, w: Word) -> int:
-    """Weighted length of `w`; 0 for the empty word."""
-    for i in w:
-        if not 0 <= i < len(p.letters):
-            raise PresentationError(f"unknown letter id {i}")
-    return p.word_weight(w)
 
 
 def mirror(p: Presentation) -> Presentation:

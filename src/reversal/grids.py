@@ -36,40 +36,11 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from .congruence import Budget, DEFAULT_BUDGET, are_equivalent
-from .core import Presentation, PresentationError, Word, is_right_complemented
+from .core import Presentation, PresentationError, Tile, TileKind, Word
+from .core import is_right_complemented
 
 # Edge segments are labelled by a letter id, or by None for ε.
 EPS_WORD: Word = ()
-
-
-class TileKind(enum.Enum):
-    RELATION = "relation"
-    CANCEL = "cancel"
-    PASS_LEFT = "pass_left"
-    PASS_TOP = "pass_top"
-    EMPTY = "empty"
-
-
-@dataclass(frozen=True)
-class Tile:
-    kind: TileKind
-    left: int | None
-    top: int | None
-    right: Word
-    bottom: Word
-    rel_index: int | None = None
-    orientation: int | None = None
-
-    def key(self) -> tuple:
-        return (
-            self.kind.value,
-            -1 if self.left is None else self.left,
-            -1 if self.top is None else self.top,
-            self.right,
-            self.bottom,
-            -1 if self.rel_index is None else self.rel_index,
-            -1 if self.orientation is None else self.orientation,
-        )
 
 
 class ReversalStatus(enum.Enum):
@@ -120,26 +91,7 @@ def letter_tiles(p: Presentation, s: int, t: int) -> tuple[Tile, ...]:
     """Tiles applicable to a letter/letter cell: the cancellation tile when
     the letters agree, then one tile per oriented relation s... = t...,
     ordered by relation index then orientation."""
-    out: list[Tile] = []
-    if s == t:
-        out.append(Tile(TileKind.CANCEL, s, t, EPS_WORD, EPS_WORD))
-    for rel in p.relations:
-        for orientation, (side_s, side_t) in enumerate(
-            ((rel.lhs, rel.rhs), (rel.rhs, rel.lhs))
-        ):
-            if side_s and side_t and side_s[0] == s and side_t[0] == t:
-                out.append(
-                    Tile(
-                        TileKind.RELATION,
-                        s,
-                        t,
-                        right=side_t[1:],
-                        bottom=side_s[1:],
-                        rel_index=rel.index,
-                        orientation=orientation,
-                    )
-                )
-    return tuple(out)
+    return p.tile_table.get((s, t), ())
 
 
 def tiles(
@@ -256,10 +208,7 @@ def _require_reversible(p: Presentation, *words: Word) -> None:
         raise PresentationError(
             "reversing is undefined for presentations with ε-relations"
         )
-    for w in words:
-        for i in w:
-            if not 0 <= i < len(p.letters):
-                raise PresentationError(f"unknown letter id {i}")
+    p.check_letters(*words)
 
 
 def reverse_enumerate(

@@ -1,0 +1,139 @@
+"""The compiled data of a presentation: its cached hash, tile table and
+rewrite index.
+
+The indexes must give exactly what a scan over all relations gives, in
+the same order; the scans below are kept as the reference.  The hash and
+the indexes belong to one presentation object: equal presentations share
+cache entries, derived ones compile their own, and none of it shows in
+equality, `repr`, copies or pickles.
+"""
+
+from __future__ import annotations
+
+import copy
+import dataclasses
+import pickle
+import random
+
+import pytest
+
+import reversal as rv
+from conftest import catalog_presentations, rand_word
+from reversal.congruence import rewrite_neighbors
+from reversal.grids import Tile, TileKind, letter_tiles
+
+
+def scan_letter_tiles(p: rv.Presentation, s: int, t: int) -> tuple[Tile, ...]:
+    out = []
+    if s == t:
+        out.append(Tile(TileKind.CANCEL, s, t, (), ()))
+    for rel in p.relations:
+        for orientation, (side_s, side_t) in enumerate(
+            ((rel.lhs, rel.rhs), (rel.rhs, rel.lhs))
+        ):
+            if side_s and side_t and side_s[0] == s and side_t[0] == t:
+                out.append(
+                    Tile(
+                        TileKind.RELATION,
+                        s,
+                        t,
+                        right=side_t[1:],
+                        bottom=side_s[1:],
+                        rel_index=rel.index,
+                        orientation=orientation,
+                    )
+                )
+    return tuple(out)
+
+
+def scan_rewrite_neighbors(p: rv.Presentation, w: rv.Word) -> list[rv.Word]:
+    out = []
+    n = len(w)
+    for rel in p.relations:
+        for src, dst in ((rel.lhs, rel.rhs), (rel.rhs, rel.lhs)):
+            if src == dst:
+                continue
+            k = len(src)
+            for i in range(n - k + 1):
+                if w[i : i + k] == src:
+                    out.append(w[:i] + dst + w[i + k :])
+    return out
+
+
+def presentations() -> dict[str, rv.Presentation]:
+    """The catalog and its mirrors, plus edge cases of rewriting: an
+    ε-relation (an empty side matches at every position), overlapping
+    occurrences, a relation with equal sides, and a weighted letter."""
+    out = {}
+    for name, p in catalog_presentations().items():
+        out[name] = p
+        out[f"mirror-{name}"] = rv.mirror(p)
+    out["edge-cases"] = rv.parse_presentation(
+        "gens: a b c\nweights: c=2\nrel: a b = 1\nrel: a a = b\n"
+        "rel: b a b = a b a\nrel: c = c\nrel: c = b b\n"
+    )
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(presentations()))
+def test_letter_tiles_match_scan(name):
+    p = presentations()[name]
+    letters = range(len(p.letters))
+    for s in letters:
+        for t in letters:
+            assert letter_tiles(p, s, t) == scan_letter_tiles(p, s, t)
+
+
+@pytest.mark.parametrize("name", sorted(presentations()))
+def test_rewrite_neighbors_match_scan(name):
+    p = presentations()[name]
+    for k in range(4):
+        rng = random.Random(f"rewrite:{name}:{k}")
+        for _ in range(60):
+            w = rand_word(rng, p, 8)
+            assert rewrite_neighbors(p, w) == scan_rewrite_neighbors(p, w)
+
+
+def test_parsed_copy_shares_hash_and_cache_entry():
+    p = rv.colored_braid(3, ["a", "b"])
+    q = rv.parse_presentation(rv.format_presentation(p))
+    assert q is not p
+    assert q == p and hash(q) == hash(p)
+    rv.check_completeness.cache_clear()
+    first = rv.check_completeness(p)
+    hits = rv.check_completeness.cache_info().hits
+    assert rv.check_completeness(q) is first
+    assert rv.check_completeness.cache_info().hits == hits + 1
+
+
+@pytest.mark.parametrize("name", sorted(catalog_presentations()))
+def test_mirror_twice_is_equal_with_equal_hash(name):
+    p = catalog_presentations()[name]
+    back = rv.mirror(rv.mirror(p))
+    assert back == p and hash(back) == hash(p)
+
+
+def test_replaced_presentation_compiles_its_own(colored42):
+    p = colored42
+    hash(p), p.tile_table, p.rewrite_index
+    q = dataclasses.replace(p, relations=p.relations[:3])
+    assert q.tile_table is not p.tile_table
+    assert q.rewrite_index is not p.rewrite_index
+    assert hash(q) == hash((q.letters, q.relations, q.weights))
+    letters = range(len(q.letters))
+    for s in letters:
+        for t in letters:
+            assert letter_tiles(q, s, t) == scan_letter_tiles(q, s, t)
+    assert len(q.rewrite_index) == 6
+
+
+def test_compiled_data_is_not_part_of_the_value(colored42):
+    fresh = rv.colored_braid(4, ["a", "b"])
+    hash(colored42), colored42.tile_table, colored42.rewrite_index
+    assert colored42 == fresh
+    assert repr(colored42) == repr(fresh)
+    for name in ("_hash", "tile_table", "rewrite_index"):
+        assert name not in repr(colored42)
+    for clone in (copy.copy(colored42), pickle.loads(pickle.dumps(colored42))):
+        assert not {"_hash", "tile_table", "rewrite_index"} & set(vars(clone))
+        assert clone == colored42 and hash(clone) == hash(colored42)

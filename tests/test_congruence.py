@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 import reversal as rv
 from conftest import catalog_presentations, rand_word
 from reversal.congruence import EquivStatus, rewrite_neighbors
@@ -164,3 +166,11 @@ def test_budget_exhaustion_is_explicit(braid3):
 def test_explored_counts_words_visited(braid4):
     o = rv.are_equivalent(braid4, braid4.word("s1 s2 s1"), braid4.word("s2 s1 s2"))
     assert o.explored >= 2
+
+
+def test_unknown_letter_ids_are_rejected(braid4):
+    for bad in ((3,), (-1,), (0, 7)):
+        with pytest.raises(rv.PresentationError, match="unknown letter id"):
+            rv.are_equivalent(braid4, bad, (0,))
+        with pytest.raises(rv.PresentationError, match="unknown letter id"):
+            rv.equivalence_class(braid4, bad)

@@ -96,13 +96,13 @@ def test_validate_malcev():
     assert "left-cancel-conflict" not in kinds
 
 
-def test_weight_of(braid4):
-    assert rv.weight_of(braid4, ()) == 0
-    assert rv.weight_of(braid4, braid4.word("s2 s1 s3 s2 s1")) == 5
+def test_word_weight(braid4):
+    assert braid4.word_weight(()) == 0
+    assert braid4.word_weight(braid4.word("s2 s1 s3 s2 s1")) == 5
     pm = rv.malcev()
-    assert rv.weight_of(pm, pm.word("a c")) == 2
+    assert pm.word_weight(pm.word("a c")) == 2
     weighted = rv.parse_presentation("gens: x y\nweights: x=3\nrel: x = y y y")
-    assert rv.weight_of(weighted, weighted.word("x y")) == 4
+    assert weighted.word_weight(weighted.word("x y")) == 4
 
 
 def test_mirror_examples(braid4):

@@ -11,6 +11,9 @@ that is meant to alter an output, rewrite the fixtures with
 from __future__ import annotations
 
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -62,6 +65,21 @@ def output(argv: list[str]) -> str:
 def test_golden_output(name):
     expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
     assert output(CASES[name]) == expected
+
+
+@pytest.mark.parametrize("name", ["cancel-cb42", "defect-cb42", "lcm-b6"])
+def test_golden_output_without_asserts(name):
+    """`python -O -m reversal` strips asserts; the output must not change."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONIOENCODING="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "reversal", *CASES[name]],
+        capture_output=True,
+        encoding="utf-8",
+        env=env,
+    )
+    expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    assert f"exit {proc.returncode}\n" + proc.stdout == expected
 
 
 if __name__ == "__main__":
