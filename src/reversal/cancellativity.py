@@ -29,7 +29,7 @@ from .core import (
     left_cancel_conflicts,
     mirror,
 )
-from .grids import reverse_complemented, reverse_targets
+from .grids import reverse_targets
 
 
 class CancelStatus(enum.Enum):
@@ -107,26 +107,37 @@ def common_right_multiple(
             reason=f"completeness verdict is {report.verdict.value}; the "
             "common-multiple criterion does not apply",
         )
+    return _by_reversing(
+        p, u, v, b, MultipleKind.MULTIPLE, "reversing search exceeded the budget"
+    )
+
+
+def _by_reversing(
+    p: Presentation, u: Word, v: Word, b: Budget, kind: MultipleKind, cut: str
+) -> MultipleResult:
+    """The multiple u·v1 for the least target (u1, v1) of (u, v), labelled
+    `kind`; else a certified absence, or an inconclusive result giving
+    `cut` as its reason."""
     search = reverse_targets(p, u, v, b)
     if search.targets:
         u1, v1 = min(search.targets)
-        return MultipleResult(
-            MultipleKind.MULTIPLE, multiple=u + v1, complements=(u1, v1)
-        )
+        return MultipleResult(kind, multiple=u + v1, complements=(u1, v1))
     if search.complete:
         return MultipleResult(
             MultipleKind.NO_COMMON_MULTIPLE, stuck=tuple(sorted(search.stuck))
         )
-    return MultipleResult(
-        MultipleKind.INCONCLUSIVE, reason="reversing search exceeded the budget"
-    )
+    return MultipleResult(MultipleKind.INCONCLUSIVE, reason=cut)
 
 
 def right_lcm(
     p: Presentation, u: Word, v: Word, b: Budget = DEFAULT_BUDGET
 ) -> MultipleResult:
     """Deterministic reversing in a complemented complete presentation:
-    the target (u1, v1), when it exists, makes u·v1 a right lcm."""
+    the target (u1, v1), when it exists, makes u·v1 a right lcm.
+
+    The target comes from the target search, which finds at most one here
+    and stops at the first stuck cell; `b.max_cells` bounds its reversing
+    steps, so ε and pass cells cost nothing."""
     if not is_right_complemented(p):
         raise PresentationError("right_lcm requires a right-complemented presentation")
     report = check_completeness(p, b)
@@ -139,13 +150,4 @@ def right_lcm(
             MultipleKind.INCONCLUSIVE,
             reason=report.reason or "completeness check was inconclusive",
         )
-    outcome = reverse_complemented(p, u, v, b)
-    if not outcome.completed:
-        return MultipleResult(
-            MultipleKind.INCONCLUSIVE, reason="reversing exceeded the budget"
-        )
-    if not outcome.grids:
-        return MultipleResult(MultipleKind.NO_COMMON_MULTIPLE, stuck=outcome.stuck)
-    u1, v1 = outcome.grids[0].target
-    return MultipleResult(MultipleKind.LCM, multiple=u + v1, complements=(u1, v1))
-
+    return _by_reversing(p, u, v, b, MultipleKind.LCM, "reversing exceeded the budget")

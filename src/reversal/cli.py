@@ -78,7 +78,15 @@ def _build_parser() -> _Parser:
             "--colors", type=int, default=2, help="color count (catalog)"
         )
         bud = sp.add_argument_group("budget")
-        bud.add_argument("--max-cells", type=int, default=10_000)
+        bud.add_argument(
+            "--max-cells",
+            type=int,
+            default=10_000,
+            help="grid cells per branch where grids are enumerated (grids, "
+            "complete, cancel, defect, and the completeness check of lcm and "
+            "multiple); reversing steps in the target search of reverse, lcm "
+            "and multiple",
+        )
         bud.add_argument("--max-grids", type=int, default=10_000)
         bud.add_argument("--max-class-size", type=int, default=100_000)
         bud.add_argument("--max-word-weight", type=int, default=12)

@@ -30,7 +30,13 @@ INFINITE = float("inf")
 @dataclass(frozen=True)
 class Budget:
     """Explicit bounds; exceeding any of them yields an inconclusive status,
-    never a silent truncation."""
+    never a silent truncation.
+
+    `max_cells` bounds the cells of each branch of a grid enumeration, and
+    the reversing steps (tile applications) of a target search, which is
+    what `right_lcm`, `common_right_multiple` and
+    `decide_equiv_by_reversing` run.  `max_grids` bounds the complete
+    grids, or the targets of one subproblem."""
 
     max_class_size: int = 100_000
     max_cells: int = 10_000
@@ -88,17 +94,19 @@ def rewrite_neighbors(p: Presentation, w: Word) -> list[Word]:
     return out
 
 
-def _weight_cap(p: Presentation, b: Budget, *words: Word) -> int:
+def _weight_cap(p: Presentation, max_word_weight: int, *words: Word) -> int:
     # Start words heavier than the budget must still be explorable; for
     # homogeneous presentations rewriting never changes the weight anyway.
-    return max(b.max_word_weight, *(p.word_weight(w) for w in words))
+    return max(max_word_weight, *(p.word_weight(w) for w in words))
 
 
 @lru_cache(maxsize=4096)
 def _bfs_class(
-    p: Presentation, w: Word, max_class_size: int, weight_cap: int
+    p: Presentation, w: Word, max_class_size: int, max_word_weight: int
 ) -> tuple[dict[Word, int], bool]:
     """Distance map over the class of `w`, and whether it is complete."""
+    # The cap is taken here, not in the key, so a cache hit sums no weights.
+    weight_cap = _weight_cap(p, max_word_weight, w)
     dist: dict[Word, int] = {w: 0}
     queue: deque[Word] = deque([w])
     complete = True
@@ -119,7 +127,7 @@ def _bfs_class(
 def class_distances(
     p: Presentation, w: Word, b: Budget = DEFAULT_BUDGET
 ) -> tuple[dict[Word, int], bool]:
-    return _bfs_class(p, w, b.max_class_size, _weight_cap(p, b, w))
+    return _bfs_class(p, w, b.max_class_size, b.max_word_weight)
 
 
 def equivalence_class(
@@ -145,7 +153,7 @@ def are_equivalent(
     p.check_letters(u, v)
     if u == v:
         return EquivalenceOutcome(EquivStatus.EQUIVALENT, 0, explored=1)
-    cap = _weight_cap(p, b, u, v)
+    cap = _weight_cap(p, b.max_word_weight, u, v)
     du: dict[Word, int] = {u: 0}
     dv: dict[Word, int] = {v: 0}
     fu: list[Word] = [u]

@@ -24,7 +24,9 @@ iff their traces are equal, and replaying a trace is deterministic.
 
 Termination is not guaranteed for arbitrary presentations, so two budgets
 bound an enumeration: `max_cells` bounds the cells of each branch (one
-partial grid), `max_grids` the complete grids found in total.
+partial grid), `max_grids` the complete grids found in total.  The target
+search below reads them as a bound on its reversing steps and on the
+targets of one subproblem.
 """
 
 from __future__ import annotations
@@ -252,12 +254,18 @@ def reverse_complemented(
 # Target-set search.
 #
 # Deciding whether (u, v) reverses to some target (in particular to (ε, ε))
-# does not need the grids themselves.  The same recursion, memoized on word
-# pairs, computes the set of targets while sharing repeated subproblems; ε
+# does not need the grids themselves.  The same recursion, memoized on
+# subproblems, computes the set of targets while sharing repeated ones; ε
 # segments can be dropped here because pass tiles never change the words.
 # Sharing sub-blocks across branches is what a grid filler must not do, so
 # this search has its own loop: each subproblem is a generator on an
 # explicit stack, which yields the word pairs whose targets it needs.
+#
+# Words are hash-consed: id 0 is ε, and id i > 0 is the word whose first
+# letter is heads[i] and whose remainder has id tails[i].  A suffix is a
+# tail pointer and a subproblem key a pair of ints, so a step costs the
+# letters it prepends (a tile's outputs, and a1 in a1·u1), not the length
+# of the words; tuples are built only for the targets returned.
 # ---------------------------------------------------------------------------
 
 
@@ -274,42 +282,67 @@ def reverse_targets(
 ) -> TargetSearch:
     """The set of targets of all grids from (u, v).
 
-    `complete` is False when the step budget (max_cells applications), a
+    `complete` is False when the step budget (max_cells tile
+    applications, one per letter/letter cell of a distinct subproblem), a
     target-set cap (max_grids), or a cyclic subproblem cut the search; a
-    True value certifies the target set is exhaustive.
+    True value certifies the target set is exhaustive.  `explored` is the
+    number of steps taken.
     """
     _require_reversible(p, u, v)
-    done: dict[tuple[Word, Word], frozenset[tuple[Word, Word]]] = {}
-    active: set[tuple[Word, Word]] = set()
+    heads: list[int] = [-1]
+    tails: list[int] = [0]
+    interned: dict[tuple[int, int], int] = {}
+
+    def prepend(w: Word, i: int) -> int:
+        """The id of the word w followed by the word with id i."""
+        for letter in reversed(w):
+            node = (letter, i)
+            j = interned.get(node)
+            if j is None:
+                j = interned[node] = len(heads)
+                heads.append(letter)
+                tails.append(i)
+            i = j
+        return i
+
+    def spell(i: int) -> Word:
+        out = []
+        while i:
+            out.append(heads[i])
+            i = tails[i]
+        return tuple(out)
+
+    done: dict[tuple[int, int], frozenset[tuple[int, int]]] = {}
+    active: set[tuple[int, int]] = set()
     stuck: set[tuple[int, int]] = set()
     steps = 0
     complete = True
 
-    def targets(uu: Word, vv: Word):
+    def targets(uu: int, vv: int):
         """The targets of (uu, vv), both nonempty: yields each word pair
         whose targets it needs and is sent them back."""
         nonlocal steps, complete
-        s, t = uu[0], vv[0]
-        u2, v2 = uu[1:], vv[1:]
+        s, t = heads[uu], heads[vv]
+        u2, v2 = tails[uu], tails[vv]
         options = letter_tiles(p, s, t)
         if not options:
             stuck.add((s, t))
-        acc: set[tuple[Word, Word]] = set()
+        acc: set[tuple[int, int]] = set()
         for tile in options:
             steps += 1
             if steps > b.max_cells:
                 complete = False
                 break
-            for a1, c in (yield tile.right, v2):
-                for u1, v1 in (yield u2, tile.bottom + c):
-                    acc.add((a1 + u1, v1))
+            for a1, c in (yield prepend(tile.right, 0), v2):
+                for u1, v1 in (yield u2, prepend(tile.bottom, c)):
+                    acc.add((prepend(spell(a1), u1), v1))
                     if len(acc) > b.max_grids:
                         complete = False
                         break
         return frozenset(acc)
 
     calls: list = []  # (key, generator) of the open subproblems, innermost last
-    key = (u, v)
+    key = (prepend(u, 0), prepend(v, 0))
     while True:
         if key in done:
             result = done[key]
@@ -334,7 +367,10 @@ def reverse_targets(
                 result = done[closed] = stop.value
         else:
             return TargetSearch(
-                result, complete, frozenset(stuck), explored=steps
+                frozenset((spell(a), spell(c)) for a, c in result),
+                complete,
+                frozenset(stuck),
+                explored=steps,
             )
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -140,3 +141,47 @@ def test_cancellation_soundness_spot_check():
             for w in cls.words:
                 if w[:1] == (s,):
                     assert rv.are_equivalent(p, u, w[1:]).is_equivalent
+
+
+def lcm_cases():
+    """Seeded random word pairs in braid(3)–braid(6), and in a relation-free
+    presentation, where every pair of distinct letters is stuck."""
+    free = rv.parse_presentation("gens: a b c\n")
+    for p in (*(rv.braid(n) for n in range(3, 7)), free):
+        rng = random.Random(f"lcm-oracle:{p.letters}")
+        for _ in range(40):
+            yield p, rand_word(rng, p, 6), rand_word(rng, p, 6)
+
+
+def test_right_lcm_matches_grid_and_common_multiple():
+    kinds = Counter()
+    for p, u, v in lcm_cases():
+        res = rv.right_lcm(p, u, v)
+        kinds[res.kind] += 1
+        outcome = rv.reverse_complemented(p, u, v)
+        assert outcome.completed
+        if outcome.grids:
+            (g,) = outcome.grids
+            assert res.kind is MultipleKind.LCM
+            assert res.complements == g.target and res.multiple == u + g.target[1]
+        else:
+            assert res.kind is MultipleKind.NO_COMMON_MULTIPLE
+            assert res.stuck == outcome.stuck
+        multiple = rv.common_right_multiple(p, u, v)
+        assert (multiple.kind is MultipleKind.MULTIPLE) == (res.kind is MultipleKind.LCM)
+        found = (multiple.multiple, multiple.complements, multiple.stuck)
+        assert found == (res.multiple, res.complements, res.stuck)
+    assert kinds[MultipleKind.LCM] and kinds[MultipleKind.NO_COMMON_MULTIPLE]
+
+
+def test_lcm_and_multiple_budget_monotone():
+    # Raising max_cells may decide more, and never changes a decided answer.
+    tight = rv.Budget(max_cells=8)
+    decided = Counter()
+    for p, u, v in lcm_cases():
+        for find in (rv.right_lcm, rv.common_right_multiple):
+            low = find(p, u, v, tight)
+            decided[low.kind is not MultipleKind.INCONCLUSIVE] += 1
+            if low.kind is not MultipleKind.INCONCLUSIVE:
+                assert find(p, u, v) == low, (find.__name__, u, v)
+    assert decided[True] and decided[False]

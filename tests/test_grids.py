@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 import reversal as rv
 from conftest import catalog_presentations, rand_word
+from reversal.cancellativity import MultipleKind
 from reversal.grids import ReversalStatus, TileKind
 
 
@@ -400,6 +402,64 @@ def test_reverse_targets_stuck_witnesses(colored42):
     assert (p.letter("s1.a"), p.letter("s1.b")) in search.stuck
 
 
+def tuple_memo_targets(p, u, v, b=rv.DEFAULT_BUDGET):
+    """A plain recursive target search memoised on word tuples, visiting
+    tiles and subproblems in the library's order: (targets, complete,
+    stuck, explored)."""
+    done, active, stuck = {}, set(), set()
+    steps, complete = 0, True
+
+    def targets(uu, vv):
+        nonlocal steps, complete
+        key = (uu, vv)
+        if key in done:
+            return done[key]
+        if key in active:
+            complete = False
+            return frozenset()
+        if not uu or not vv:
+            done[key] = frozenset({key})
+            return done[key]
+        active.add(key)
+        options = rv.tiles(p, uu[0], vv[0])
+        if not options:
+            stuck.add((uu[0], vv[0]))
+        acc = set()
+        for tile in options:
+            steps += 1
+            if steps > b.max_cells:
+                complete = False
+                break
+            for a1, c in targets(tile.right, vv[1:]):
+                for u1, v1 in targets(uu[1:], tile.bottom + c):
+                    acc.add((a1 + u1, v1))
+                    if len(acc) > b.max_grids:
+                        complete = False
+                        break
+        active.discard(key)
+        done[key] = frozenset(acc)
+        return done[key]
+
+    return targets(u, v), complete, frozenset(stuck), steps
+
+
+def test_reverse_targets_matches_tuple_memo_reference():
+    compared = 0
+    for p in (rv.braid(4), rv.colored_braid(3, ["a", "b"])):
+        rng = random.Random(f"tuple-memo:{p.letters}")
+        for _ in range(150):
+            u, v = rand_word(rng, p, 6), rand_word(rng, p, 6)
+            targets, complete, stuck, explored = tuple_memo_targets(p, u, v)
+            search = rv.reverse_targets(p, u, v)
+            assert search.complete == complete, (u, v)
+            if complete:
+                compared += 1
+                assert search.targets == targets, (u, v)
+                assert search.stuck == stuck, (u, v)
+                assert search.explored == explored, (u, v)
+    assert compared == 300
+
+
 # ---------------------------------------------------------------------------
 # Deep grids and the grid budget.
 # ---------------------------------------------------------------------------
@@ -432,6 +492,24 @@ def test_grid_operations_on_20000_cells(braid4):
 def test_long_identical_words_reverse_to_unit(braid3):
     w = (braid3.letter("s1"),) * 4001
     assert rv.decide_equiv_by_reversing(braid3, w, w) is True
+
+
+def test_long_words_reverse_in_linear_memory(braid3):
+    # A subproblem key is a pair of word ids, so memory grows linearly with
+    # the words; keyed on word suffixes it would grow quadratically, to
+    # gigabytes here.
+    w = (braid3.letter("s1"),) * 20_000
+    budget = rv.Budget(max_cells=20_000)
+    tracemalloc.start()
+    try:
+        assert rv.decide_equiv_by_reversing(braid3, w, w, budget) is True
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert rv.reverse_targets(braid3, w, w, budget).explored == 20_000
+    res = rv.right_lcm(braid3, w[:5000], w[:5000])
+    assert res.kind is MultipleKind.LCM and res.complements == ((), ())
 
 
 def test_max_grids_counts_complete_grids_only(colored42):
