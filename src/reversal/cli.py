@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from typing import Sequence, TextIO
 
 from . import catalog as _catalog
@@ -65,6 +66,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+_BUDGET_HELP = {
+    "max_cells": "grid cells per branch where grids are enumerated (grids, "
+    "complete, cancel, defect, and the completeness check of lcm and "
+    "multiple); reversing steps in the target search of reverse, lcm "
+    "and multiple",
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="reversal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -78,18 +87,13 @@ def _build_parser() -> _Parser:
             "--colors", type=int, default=2, help="color count (catalog)"
         )
         bud = sp.add_argument_group("budget")
-        bud.add_argument(
-            "--max-cells",
-            type=int,
-            default=10_000,
-            help="grid cells per branch where grids are enumerated (grids, "
-            "complete, cancel, defect, and the completeness check of lcm and "
-            "multiple); reversing steps in the target search of reverse, lcm "
-            "and multiple",
-        )
-        bud.add_argument("--max-grids", type=int, default=10_000)
-        bud.add_argument("--max-class-size", type=int, default=100_000)
-        bud.add_argument("--max-word-weight", type=int, default=12)
+        for field in fields(Budget):
+            bud.add_argument(
+                "--" + field.name.replace("_", "-"),
+                type=int,
+                default=field.default,
+                help=_BUDGET_HELP.get(field.name),
+            )
         sp.add_argument("--json", action="store_true", help="machine-readable output")
         for i in range(words):
             sp.add_argument(f"word{i + 1}" if words > 1 else "word")
@@ -126,12 +130,7 @@ def _load_presentation(args: argparse.Namespace) -> Presentation:
 
 def _budget(args: argparse.Namespace) -> Budget:
     try:
-        return Budget(
-            max_class_size=args.max_class_size,
-            max_cells=args.max_cells,
-            max_grids=args.max_grids,
-            max_word_weight=args.max_word_weight,
-        )
+        return Budget(**{f.name: getattr(args, f.name) for f in fields(Budget)})
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 

@@ -10,23 +10,25 @@ Together with a noetherianity witness (weight-homogeneity with positive
 weights), verified diamonds imply that (u, v) reverses to (ε, ε) exactly
 when u ≡ v.
 
+Targets are compared by one rule, `congruence.word_distance` on each
+component: the rewrite distance read from the first word's cached class
+map, else from the second's; infinite when a complete class shows the
+words are not congruent, unknown when neither class map decides.  Two
+grids match when both distances are finite.
+
 The defect of a complete presentation is the worst, over all triples
 (s, relation, grid), of the best total distance between the outputs of the
-grid and of an equivalent grid from the other side.
+grid and of an equivalent grid from the other side, read from the same
+distances.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from .congruence import (
-    Budget,
-    DEFAULT_BUDGET,
-    INFINITE,
-    class_distances,
-)
+from .congruence import Budget, DEFAULT_BUDGET, INFINITE, word_distance
 from .core import Presentation, Relation, Word
 from .grids import Grid, reverse_enumerate, reverse_targets
 
@@ -54,8 +56,9 @@ class DiamondReport:
     status: DiamondStatus
     src_grids: tuple[Grid, ...]
     dst_grids: tuple[Grid, ...]
-    # For each source grid, the index of the first target-equivalent grid
-    # on the other side (None entries only in counterexamples).
+    # For each source grid, the index of the first grid on the other side
+    # whose targets are at finite distance (by w1's class map, then w2's);
+    # None where no comparison matched.
     matching: tuple[int | None, ...]
     witness: Grid | None = None
     exhausted: bool = False
@@ -77,33 +80,18 @@ class CompletenessReport:
         return None
 
 
-def _words_equivalent(
-    p: Presentation, w1: Word, w2: Word, b: Budget
-) -> bool | None:
-    """Class-map based equivalence: reuses cached breadth-first closures,
-    which pays off across the many comparisons of a diamond check."""
-    if w1 == w2:
-        return True
-    dist, complete = class_distances(p, w1, b)
-    if w2 in dist:
-        return True
-    if complete:
-        return False
-    dist2, complete2 = class_distances(p, w2, b)
-    if w1 in dist2:
-        return True
-    if complete2:
-        return False
-    return None
-
-
-def _targets_equivalent(
+def _target_distance(
     p: Presentation, g1: Grid, g2: Grid, b: Budget
-) -> bool | None:
-    first = _words_equivalent(p, g1.target[0], g2.target[0], b)
-    if first is not True:
+) -> int | float | None:
+    """dist(u1, u1') + dist(v1, v1') between the targets of g1 and g2;
+    INFINITE or None as soon as one component is."""
+    first = word_distance(p, g1.target[0], g2.target[0], b)
+    if first is None or first is INFINITE:
         return first
-    return _words_equivalent(p, g1.target[1], g2.target[1], b)
+    second = word_distance(p, g1.target[1], g2.target[1], b)
+    if second is None or second is INFINITE:
+        return second
+    return first + second
 
 
 def _one_direction(
@@ -122,12 +110,12 @@ def _one_direction(
         found: int | None = None
         grid_undecided = False
         for j, g2 in enumerate(dst):
-            eq = _targets_equivalent(p, g, g2, b)
-            if eq is True:
+            d = _target_distance(p, g, g2, b)
+            if d is None:
+                grid_undecided = True
+            elif d is not INFINITE:
                 found = j
                 break
-            if eq is None:
-                grid_undecided = True
         matching.append(found)
         if found is None:
             if grid_undecided:
@@ -135,31 +123,25 @@ def _one_direction(
                 undecided = True
             elif witness is None:
                 witness = g
-    if witness is None and undecided:
-        return DiamondReport(
-            s,
-            rel,
-            direction,
-            DiamondStatus.INCONCLUSIVE,
-            src,
-            dst,
-            tuple(matching),
-            reason="oracle budget exhausted during matching",
-        )
+    reason = None
     if witness is not None:
-        return DiamondReport(
-            s,
-            rel,
-            direction,
-            DiamondStatus.COUNTEREXAMPLE,
-            src,
-            dst,
-            tuple(matching),
-            witness=witness,
-            exhausted=True,
-        )
+        status = DiamondStatus.COUNTEREXAMPLE
+    elif undecided:
+        status = DiamondStatus.INCONCLUSIVE
+        reason = "oracle budget exhausted during matching"
+    else:
+        status = DiamondStatus.VERIFIED
     return DiamondReport(
-        s, rel, direction, DiamondStatus.VERIFIED, src, dst, tuple(matching)
+        s,
+        rel,
+        direction,
+        status,
+        src,
+        dst,
+        tuple(matching),
+        witness=witness,
+        exhausted=witness is not None,
+        reason=reason,
     )
 
 
@@ -172,22 +154,17 @@ def check_diamond(
     out_l = reverse_enumerate(p, (s,), rel.lhs, b)
     out_r = reverse_enumerate(p, (s,), rel.rhs, b)
     if not out_l.completed or not out_r.completed:
-        reason = "grid enumeration exceeded the budget"
-        reports = []
-        for direction in (LHS_TO_RHS, RHS_TO_LHS):
-            reports.append(
-                DiamondReport(
-                    s,
-                    rel,
-                    direction,
-                    DiamondStatus.INCONCLUSIVE,
-                    (),
-                    (),
-                    (),
-                    reason=reason,
-                )
-            )
-        return (reports[0], reports[1])
+        fwd = DiamondReport(
+            s,
+            rel,
+            LHS_TO_RHS,
+            DiamondStatus.INCONCLUSIVE,
+            (),
+            (),
+            (),
+            reason="grid enumeration exceeded the budget",
+        )
+        return fwd, replace(fwd, direction=RHS_TO_LHS)
     fwd = _one_direction(p, s, rel, LHS_TO_RHS, out_l.grids, out_r.grids, b)
     bwd = _one_direction(p, s, rel, RHS_TO_LHS, out_r.grids, out_l.grids, b)
     return (fwd, bwd)
@@ -270,24 +247,6 @@ class DefectResult:
         return self.value is None
 
 
-def _output_distance(
-    p: Presentation, g1: Grid, g2: Grid, b: Budget
-) -> int | float | None:
-    """dist(u1, u1') + dist(v1, v1') through cached class maps."""
-    total = 0
-    for w1, w2 in zip(g1.target, g2.target):
-        if w1 == w2:
-            continue
-        dist, complete = class_distances(p, w1, b)
-        if w2 in dist:
-            total += dist[w2]
-        elif complete:
-            return INFINITE
-        else:
-            return None
-    return total
-
-
 def defect(p: Presentation, b: Budget = DEFAULT_BUDGET) -> DefectResult:
     """Max over (generator, relation, grid) of the min distance sum to an
     equivalent grid on the relation's other side; INFINITE when the
@@ -309,16 +268,15 @@ def defect(p: Presentation, b: Budget = DEFAULT_BUDGET) -> DefectResult:
     best_witness: DefectWitness | None = None
     for rep in report.pairs:
         for g in rep.src_grids:
-            dmin: int | float | None = None
+            dmin: int | float = INFINITE
             dmin_grid: Grid | None = None
             for g2 in rep.dst_grids:
-                d = _output_distance(p, g, g2, b)
+                d = _target_distance(p, g, g2, b)
                 if d is None:
                     return DefectResult(None, None)
-                if d is not INFINITE and (dmin is None or d < dmin):
-                    dmin = d
-                    dmin_grid = g2
-            if dmin is None:
+                if d < dmin:
+                    dmin, dmin_grid = d, g2
+            if dmin_grid is None:
                 # Contradicts the Complete verdict; report as infinite.
                 return DefectResult(
                     INFINITE,

@@ -130,6 +130,28 @@ def class_distances(
     return _bfs_class(p, w, b.max_class_size, b.max_word_weight)
 
 
+def word_distance(
+    p: Presentation, w1: Word, w2: Word, b: Budget = DEFAULT_BUDGET
+) -> int | float | None:
+    """The rewrite distance from w1 to w2, read from the cached class map
+    of w1, else from that of w2: INFINITE once a complete class map lacks
+    the other word, None when neither map decides within the budget.
+    Many comparisons against one word reuse its map."""
+    if w1 == w2:
+        return 0
+    dist, complete = class_distances(p, w1, b)
+    if w2 in dist:
+        return dist[w2]
+    if complete:
+        return INFINITE
+    dist, complete = class_distances(p, w2, b)
+    if w1 in dist:
+        return dist[w1]
+    if complete:
+        return INFINITE
+    return None
+
+
 def equivalence_class(
     p: Presentation, w: Word, b: Budget = DEFAULT_BUDGET
 ) -> ClassResult:

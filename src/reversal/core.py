@@ -285,6 +285,7 @@ def parse_presentation(source: str) -> Presentation:
     gens: list[str] | None = None
     gens_line = 0
     weights: dict[str, int] | None = None
+    weight_positions: list[tuple[str, int, int]] = []
     rel_specs: list[tuple[list[str], list[str]]] = []
     rel_positions: list[tuple[int, str]] = []
 
@@ -354,6 +355,7 @@ def parse_presentation(source: str) -> Presentation:
                         f"duplicate weight for {tok!r}", lineno, token_col(raw, entry)
                     )
                 weights[tok] = value
+                weight_positions.append((tok, lineno, token_col(raw, entry)))
         elif key == "rel":
             lhs_text, eq, rhs_text = rest.partition("=")
             if not eq:
@@ -375,6 +377,9 @@ def parse_presentation(source: str) -> Presentation:
         raise ParseError("missing 'gens:' line", 1, 1)
 
     known = set(gens)
+    for tok, lineno, col in weight_positions:
+        if tok not in known:
+            raise ParseError(f"weight for unknown letter {tok!r}", lineno, col)
     for (lhs, rhs), (lineno, raw) in zip(rel_specs, rel_positions):
         for side in (lhs, rhs):
             if side == [EPSILON_TOKEN]:

@@ -9,6 +9,8 @@ from reversal.cli import (
     EXIT_NO,
     EXIT_USAGE,
     EXIT_YES,
+    _budget,
+    _build_parser,
     run,
 )
 
@@ -134,6 +136,15 @@ def test_usage_errors_exit_64():
         code, _, err = invoke(*argv)
         assert code == EXIT_USAGE, argv
         assert err.strip(), argv
+
+
+def test_budget_flags_default_to_default_budget():
+    args = _build_parser().parse_args(["complete", "--catalog", "braid"])
+    assert _budget(args) == rv.DEFAULT_BUDGET
+    args = _build_parser().parse_args(
+        ["complete", "--catalog", "braid", "--max-class-size", "3", "--max-cells", "7"]
+    )
+    assert _budget(args) == rv.Budget(max_class_size=3, max_cells=7)
 
 
 def test_parse_error_reports_position(tmp_path):

@@ -191,3 +191,58 @@ def test_completeness_json_shape(braid3):
         {"generator", "relation_index", "direction", "status"} <= set(e)
         for e in doc["pairs"]
     )
+
+
+def _oracle_distance(p, cache, g1, g2):
+    """Summed `are_equivalent` distances of the two targets; None if some
+    component is not equivalent."""
+    total = 0
+    for w1, w2 in zip(g1.target, g2.target):
+        if (w1, w2) not in cache:
+            outcome = rv.are_equivalent(p, w1, w2)
+            assert outcome.decided
+            cache[(w1, w2)] = outcome.distance if outcome.is_equivalent else None
+        if cache[(w1, w2)] is None:
+            return None
+        total += cache[(w1, w2)]
+    return total
+
+
+def test_matching_and_defect_agree_with_bidirectional_oracle():
+    bases = [
+        rv.colored_braid(4, ["a", "b"]),
+        rv.restricted_colored(4, ["a", "b"]),
+        rv.braid(4),
+        rv.malcev(),
+    ]
+    for p in bases + [rv.mirror(q) for q in bases]:
+        cache: dict = {}
+        report = rv.check_completeness(p)
+        assert report.pairs
+        for rep in report.pairs:
+            assert rep.status is not DiamondStatus.INCONCLUSIVE
+            for g, found in zip(rep.src_grids, rep.matching, strict=True):
+                first = next(
+                    (
+                        j
+                        for j, g2 in enumerate(rep.dst_grids)
+                        if _oracle_distance(p, cache, g, g2) is not None
+                    ),
+                    None,
+                )
+                assert found == first
+            unmatched = [g for g, m in zip(rep.src_grids, rep.matching) if m is None]
+            assert rep.witness == (unmatched[0] if unmatched else None)
+
+    p = rv.colored_braid(4, ["a", "b"])
+    cache = {}
+    expected = max(
+        min(
+            d
+            for g2 in rep.dst_grids
+            if (d := _oracle_distance(p, cache, g, g2)) is not None
+        )
+        for rep in rv.check_completeness(p).pairs
+        for g in rep.src_grids
+    )
+    assert rv.defect(p).value == expected

@@ -174,3 +174,26 @@ def test_unknown_letter_ids_are_rejected(braid4):
             rv.are_equivalent(braid4, bad, (0,))
         with pytest.raises(rv.PresentationError, match="unknown letter id"):
             rv.equivalence_class(braid4, bad)
+
+
+def test_word_distance_reads_either_class_map():
+    # Under a tight class budget, a pair that w1's partial class map leaves
+    # open can be decided by w2's; every decided value is exact.
+    from reversal.congruence import INFINITE, class_distances, word_distance
+
+    tight = rv.Budget(max_class_size=3)
+    for p in (rv.braid(4), rv.colored_braid(3, ["a", "b"])):
+        rng = random.Random("word-distance")
+        by_second_map = 0
+        for _ in range(300):
+            u = rand_word(rng, p, 5)
+            v = tuple(rng.sample(u, len(u)))
+            assert word_distance(p, u, u, tight) == 0
+            d = word_distance(p, u, v, tight)
+            if d is None:
+                continue
+            o = rv.are_equivalent(p, u, v)
+            assert d == (o.distance if o.is_equivalent else INFINITE)
+            dist, complete = class_distances(p, u, tight)
+            by_second_map += v not in dist and not complete
+        assert by_second_map > 0

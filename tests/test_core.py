@@ -65,6 +65,13 @@ def test_parse_errors_carry_position():
         rv.parse_presentation("gens: a\ngens: b")
 
 
+def test_weight_for_unknown_letter_has_position():
+    # The weights line may come before the generators it names.
+    with pytest.raises(ParseError, match="weight for unknown letter 'z'") as exc:
+        rv.parse_presentation("weights: a=3 z=2\ngens: a b\n")
+    assert (exc.value.line, exc.value.column) == (1, 14)
+
+
 def test_duplicate_relations_deduplicated_with_diagnostic():
     p = rv.parse_presentation(
         "gens: a b\nrel: a b = b a\nrel: b a = a b\nrel: a b = b a"

@@ -34,6 +34,8 @@ CASES = {
     "complete-cb42": ["complete", *CB42, "--json"],
     "complete-cb43": ["complete", *CB43, "--json"],
     "complete-rc42": ["complete", *RC42, "--json"],
+    "complete-rc42-tight": ["complete", *RC42, "--max-class-size", "3", "--json"],
+    "complete-cb42-tight": ["complete", *CB42, "--max-class-size", "5", "--json"],
     "complete-malcev": ["complete", *MALCEV, "--json"],
     "complete-b5": ["complete", *B5, "--json"],
     "cancel-cb42": ["cancel", *CB42, "--json"],

@@ -216,7 +216,8 @@ def test_complemented_uniqueness(braid3, braid4):
 def test_validate_grid_braid(braid4):
     g = rv.reverse_enumerate(braid4, braid4.word("s1"), braid4.word("s2 s3 s2")).grids[0]
     assert rv.check_grid(braid4, g).ok
-    assert rv.check_grid(braid4, g, check_equivalence=True).ok
+    (u, v), (u1, v1) = g.source, g.target
+    assert rv.are_equivalent(braid4, u + v1, v + u1).is_equivalent
 
 
 def test_validate_grid_rejects_corruption(braid4):
@@ -234,7 +235,9 @@ def test_validate_grid_rejects_corruption(braid4):
 
 def test_validate_empty_grid(braid4):
     g = rv.reverse_enumerate(braid4, (), ()).grids[0]
-    assert rv.check_grid(braid4, g, check_equivalence=True).ok
+    assert rv.check_grid(braid4, g).ok
+    (u, v), (u1, v1) = g.source, g.target
+    assert rv.are_equivalent(braid4, u + v1, v + u1).is_equivalent
 
 
 def test_compose_examples(braid4):
