@@ -39,7 +39,17 @@ EPSILON_TOKEN = "1"
 
 
 class PresentationError(ValueError):
-    """Malformed presentation (bad token, unknown letter, bad weight...)."""
+    """Malformed presentation (bad token, unknown letter, bad weight...).
+
+    From `make_presentation`, `item` names the offending input: `("gens",
+    i)` the i-th generator token (0 if there is none), `("weights", tok)`
+    the weight given for tok, `("rel", r, side, k)` the k-th token of side
+    0 (left) or 1 (right) of the r-th relation given.  Otherwise None.
+    """
+
+    def __init__(self, message: str, item: tuple | None = None) -> None:
+        super().__init__(message)
+        self.item = item
 
 
 class ParseError(PresentationError):
@@ -224,46 +234,58 @@ def make_presentation(
     relations: Iterable[tuple[Sequence[str] | str, Sequence[str] | str]],
     weights: dict[str, int] | None = None,
 ) -> Presentation:
-    """Intern letters, resolve relation tokens, deduplicate relations.
+    """Check and intern letters, resolve relation tokens, deduplicate relations.
+
+    The only check of these rules, for files and library callers alike: at
+    least one generator, each matching `TOKEN_RE`, none twice; each weight
+    an `int` (not a `bool`), positive, on a known letter; each relation
+    token a known letter.  A side is a token sequence or a string of
+    whitespace-separated tokens; `1` alone spells the empty word.  A broken
+    rule raises `PresentationError` with the offending `item`.
 
     Relations equal as unordered pairs (in either orientation) are dropped,
     keeping the first occurrence; the count of dropped duplicates is kept on
     the presentation so `validate` can report it.
     """
-    seen_tokens: set[str] = set()
-    for tok in letters:
-        if not TOKEN_RE.fullmatch(tok):
-            raise PresentationError(f"invalid generator token {tok!r}")
-        if tok in seen_tokens:
-            raise PresentationError(f"duplicate generator token {tok!r}")
-        seen_tokens.add(tok)
     letters_t = tuple(letters)
-    ids = {tok: i for i, tok in enumerate(letters_t)}
+    if not letters_t:
+        raise PresentationError("empty generator list", ("gens", 0))
+    ids: dict[str, int] = {}
+    for i, tok in enumerate(letters_t):
+        if not isinstance(tok, str) or not TOKEN_RE.fullmatch(tok):
+            raise PresentationError(f"invalid generator token {tok!r}", ("gens", i))
+        if tok in ids:
+            raise PresentationError(f"duplicate generator token {tok!r}", ("gens", i))
+        ids[tok] = i
 
     weight_list = [1] * len(letters_t)
-    for tok, wt in (weights or {}).items():
+    for tok, w in (weights or {}).items():
+        item = ("weights", tok)
         if tok not in ids:
-            raise PresentationError(f"weight for unknown letter {tok!r}")
-        if wt <= 0:
-            raise PresentationError(f"non-positive weight {wt} for letter {tok!r}")
-        weight_list[ids[tok]] = wt
+            raise PresentationError(f"weight for unknown letter {tok!r}", item)
+        if isinstance(w, bool) or not isinstance(w, int):
+            raise PresentationError(f"non-int weight {w!r} for letter {tok!r}", item)
+        if w <= 0:
+            raise PresentationError(f"non-positive weight {w} for letter {tok!r}", item)
+        weight_list[ids[tok]] = w
 
-    def resolve(side: Sequence[str] | str) -> Word:
+    def resolve(r: int, side_no: int, side: Sequence[str] | str) -> Word:
         tokens = side.split() if isinstance(side, str) else list(side)
         if tokens == [EPSILON_TOKEN]:
             return EPSILON
         out = []
         for t in tokens:
             if t not in ids:
-                raise PresentationError(f"unknown letter {t!r} in relation")
+                item = ("rel", r, side_no, len(out))
+                raise PresentationError(f"unknown letter {t!r} in relation", item)
             out.append(ids[t])
         return tuple(out)
 
     rels: list[Relation] = []
     seen_pairs: set[frozenset[Word]] = set()
     dropped = 0
-    for lhs_raw, rhs_raw in relations:
-        lhs, rhs = resolve(lhs_raw), resolve(rhs_raw)
+    for r, (lhs_raw, rhs_raw) in enumerate(relations):
+        lhs, rhs = resolve(r, 0, lhs_raw), resolve(r, 1, rhs_raw)
         pair = frozenset((lhs, rhs))
         if pair in seen_pairs:
             dropped += 1
@@ -279,19 +301,17 @@ def parse_presentation(source: str) -> Presentation:
 
     Grammar (UTF-8): `#` starts a comment, blank lines are skipped.
       gens: <tok> <tok> ...          exactly once
-      weights: <tok>=<posint> ...    optional, at most once
+      weights: <tok>=<int> ...       optional, at most once, each tok once
       rel: <toks> = <toks>           zero or more; an empty side is written `1`
-    """
-    gens: list[str] | None = None
-    gens_line = 0
-    weights: dict[str, int] | None = None
-    weight_positions: list[tuple[str, int, int]] = []
-    rel_specs: list[tuple[list[str], list[str]]] = []
-    rel_positions: list[tuple[int, str]] = []
 
-    def token_col(line: str, token: str, start: int = 0) -> int:
-        pos = line.find(token, start)
-        return pos + 1 if pos >= 0 else 1
+    Only this syntax is checked here; `make_presentation` checks what was
+    read, after it.  A `ParseError` gives the 1-based line and column of
+    the offending token or entry (column 1 for a bad or repeated directive).
+    """
+    weights: dict[str, int] | None = None
+    rels: list[tuple[str, str]] = []
+    # (line, column, text) of each text read, keyed as an `item` minus its last part.
+    at: dict[tuple, tuple[int, int, str]] = {}
 
     for lineno, raw in enumerate(source.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -301,98 +321,58 @@ def parse_presentation(source: str) -> Presentation:
         key = head.strip()
         if not sep:
             raise ParseError("expected 'gens:', 'weights:' or 'rel:'", lineno, 1)
-        body_col = len(head) + 2
+        col = len(head) + 2
         if key == "gens":
-            if gens is not None:
+            if ("gens",) in at:
+                first = at["gens",][0]
                 raise ParseError(
-                    f"duplicate 'gens:' line (first at line {gens_line})", lineno, 1
+                    f"duplicate 'gens:' line (first at line {first})", lineno, 1
                 )
-            gens = rest.split()
-            gens_line = lineno
-            if not gens:
-                raise ParseError("empty generator list", lineno, body_col)
-            seen: set[str] = set()
-            for tok in gens:
-                if not TOKEN_RE.fullmatch(tok):
-                    raise ParseError(
-                        f"invalid generator token {tok!r}",
-                        lineno,
-                        token_col(raw, tok),
-                    )
-                if tok in seen:
-                    raise ParseError(
-                        f"duplicate generator token {tok!r}",
-                        lineno,
-                        token_col(raw, tok, start=raw.find(tok) + 1),
-                    )
-                seen.add(tok)
+            at["gens",] = (lineno, col, rest)
         elif key == "weights":
             if weights is not None:
                 raise ParseError("duplicate 'weights:' line", lineno, 1)
-            weights = {}
-            for entry in rest.split():
+            weights, at["weights",] = {}, (lineno, col, rest)
+            for m in re.finditer(r"\S+", rest):
+                entry, entry_col = m.group(), col + m.start()
                 tok, eq, num = entry.partition("=")
                 if not eq or not num:
                     raise ParseError(
-                        f"expected tok=posint, got {entry!r}",
-                        lineno,
-                        token_col(raw, entry),
+                        f"expected tok=posint, got {entry!r}", lineno, entry_col
                     )
                 try:
                     value = int(num)
                 except ValueError:
-                    raise ParseError(
-                        f"bad weight {num!r}", lineno, token_col(raw, entry)
-                    ) from None
-                if value <= 0:
-                    raise ParseError(
-                        f"non-positive weight {value} for {tok!r}",
-                        lineno,
-                        token_col(raw, entry),
-                    )
+                    raise ParseError(f"bad weight {num!r}", lineno, entry_col) from None
                 if tok in weights:
-                    raise ParseError(
-                        f"duplicate weight for {tok!r}", lineno, token_col(raw, entry)
-                    )
+                    raise ParseError(f"duplicate weight for {tok!r}", lineno, entry_col)
                 weights[tok] = value
-                weight_positions.append((tok, lineno, token_col(raw, entry)))
         elif key == "rel":
-            lhs_text, eq, rhs_text = rest.partition("=")
+            lhs, eq, rhs = rest.partition("=")
             if not eq:
-                raise ParseError("relation needs '='", lineno, body_col)
-            lhs = lhs_text.split()
-            rhs = rhs_text.split()
-            if not lhs or not rhs:
+                raise ParseError("relation needs '='", lineno, col)
+            if not lhs.split() or not rhs.split():
                 raise ParseError(
-                    "empty relation side (write the empty word as '1')",
-                    lineno,
-                    body_col,
+                    "empty relation side (write the empty word as '1')", lineno, col
                 )
-            rel_specs.append((lhs, rhs))
-            rel_positions.append((lineno, raw))
+            at["rel", len(rels), 0] = (lineno, col, lhs)
+            at["rel", len(rels), 1] = (lineno, col + len(lhs) + 1, rhs)
+            rels.append((lhs, rhs))
         else:
             raise ParseError(f"unknown directive {key!r}", lineno, 1)
 
-    if gens is None:
+    if ("gens",) not in at:
         raise ParseError("missing 'gens:' line", 1, 1)
-
-    known = set(gens)
-    for tok, lineno, col in weight_positions:
-        if tok not in known:
-            raise ParseError(f"weight for unknown letter {tok!r}", lineno, col)
-    for (lhs, rhs), (lineno, raw) in zip(rel_specs, rel_positions):
-        for side in (lhs, rhs):
-            if side == [EPSILON_TOKEN]:
-                continue
-            for tok in side:
-                if tok not in known:
-                    raise ParseError(
-                        f"unknown letter {tok!r} in relation",
-                        lineno,
-                        token_col(raw, tok),
-                    )
-
-    return make_presentation(gens, rel_specs, weights)
+    try:
+        return make_presentation(at["gens",][2].split(), rels, weights)
+    except PresentationError as exc:
+        *prefix, k = exc.item
+        if prefix == ["weights"]:  # keys are distinct and in entry order
+            k = list(weights).index(k)
+        lineno, col, text = at[tuple(prefix)]
+        starts = [m.start() for m in re.finditer(r"\S+", text)]
+        column = col + (starts[k] if k < len(starts) else 0)
+        raise ParseError(str(exc), lineno, column) from None
 
 
 def format_presentation(p: Presentation) -> str:

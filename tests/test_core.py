@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import random
+import re
+
 import pytest
 
 import reversal as rv
-from reversal.core import ParseError
+from reversal.core import TOKEN_RE, ParseError
 
 
 def test_parse_minimal():
@@ -70,6 +73,115 @@ def test_weight_for_unknown_letter_has_position():
     with pytest.raises(ParseError, match="weight for unknown letter 'z'") as exc:
         rv.parse_presentation("weights: a=3 z=2\ngens: a b\n")
     assert (exc.value.line, exc.value.column) == (1, 14)
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("gens: ab\nrel: ab = b", (2, 11)),
+        ("gens: ab b b", (1, 12)),
+        ("gens: s1 s2\nrel: s1 s2 = s2 s", (2, 17)),
+        ("gens: s1\nrel: s1 = 1 s1", (2, 11)),
+    ],
+)
+def test_parse_error_column_starts_the_named_token(text, position):
+    # Each named token also occurs earlier in its line, inside or as a token.
+    with pytest.raises(ParseError) as exc:
+        rv.parse_presentation(text)
+    assert (exc.value.line, exc.value.column) == position
+
+
+FAULTS = [
+    "unknown-letter", "duplicate-gen", "invalid-gen", "unknown-weight", "zero-weight"
+]
+
+
+def inject_fault(rng: random.Random, text: str, letters: tuple[str, ...], fault: str):
+    """Put one fault into a formatted presentation.  Returns the new text
+    and the 1-based line and column of the token that the error names."""
+
+    def unknown() -> str:  # a prefix or an extension of a letter
+        tok = rng.choice(letters)
+        names = [tok[:i] for i in range(1, len(tok))] + [tok + "x"]
+        return rng.choice([n for n in names if n not in letters])
+
+    lines = text.splitlines()
+    if fault == "unknown-letter":
+        i = rng.choice([j for j, line in enumerate(lines) if line.startswith("rel:")])
+        tokens = lines[i].split()
+        k = rng.choice([j for j, t in enumerate(tokens) if j and t != "="])
+        tokens[k] = unknown()
+    elif fault in ("duplicate-gen", "invalid-gen"):
+        i, tokens = 0, lines[0].split()
+        if fault == "duplicate-gen":
+            name = rng.choice(letters)
+            tokens.insert(rng.randint(1, len(tokens)), name)
+            k = max(j for j, t in enumerate(tokens) if t == name)  # the second one
+        else:
+            tok = rng.choice(letters)
+            names = ("1" + tok, tok[1:], tok + "+")
+            bad = [n for n in names if n and not TOKEN_RE.fullmatch(n)]
+            k = rng.randint(1, len(tokens))
+            tokens.insert(k, rng.choice(bad))
+    else:
+        named = rng.choice(letters)
+        others = [t for t in letters if t != named]
+        weighted = rng.sample(others, rng.randint(0, min(3, len(others))))
+        tokens = ["weights:"] + [f"{t}={rng.randint(1, 3)}" for t in weighted]
+        k = rng.randint(1, len(tokens))
+        tokens.insert(k, f"{named}=0" if fault == "zero-weight" else f"{unknown()}=2")
+        i = rng.randint(0, len(lines))
+        lines.insert(i, "")
+    sep = rng.choice([" ", "  ", "\t"])
+    lines[i] = sep.join(tokens)
+    column = len(sep.join(tokens[:k])) + len(sep) + 1
+    return "\n".join(lines) + "\n", i + 1, column
+
+
+@pytest.mark.parametrize(
+    "name, p",
+    [
+        ("braid4", rv.braid(4)),
+        ("colored42", rv.colored_braid(4, ["a", "b"])),
+        ("malcev", rv.malcev()),
+    ],
+)
+def test_parse_fault_points_at_named_token(name, p):
+    text = rv.format_presentation(p)
+    for k in range(60):
+        rng = random.Random(f"parse-fault:{name}:{k}")
+        fault = FAULTS[k % len(FAULTS)]
+        bad, line, column = inject_fault(rng, text, p.letters, fault)
+        with pytest.raises(ParseError) as exc:
+            rv.parse_presentation(bad)
+        at = bad.splitlines()[exc.value.line - 1][exc.value.column - 1 :]
+        named = re.search(r"'([^']*)'", str(exc.value)).group(1)
+        assert at.split()[0].partition("=")[0] == named, (fault, bad)
+        assert (exc.value.line, exc.value.column) == (line, column), (fault, bad)
+
+
+def test_make_presentation_names_the_offending_item():
+    cases = [
+        ((), [], None, ("gens", 0), "empty generator list"),
+        (["a", "1b"], [], None, ("gens", 1), "invalid generator token '1b'"),
+        (["a", 7], [], None, ("gens", 1), "invalid generator token 7"),
+        (["a", "b", "a"], [], None, ("gens", 2), "duplicate generator token 'a'"),
+        (["a"], [], {"b": 2}, ("weights", "b"), "weight for unknown letter 'b'"),
+        (["a"], [], {"a": -1}, ("weights", "a"), "non-positive weight -1"),
+        (["a", "b"], [("a b", "b a"), ("a", "a c")], None, ("rel", 1, 1, 1), "'c'"),
+    ]
+    for letters, rels, weights, item, message in cases:
+        with pytest.raises(rv.PresentationError, match=re.escape(message)) as exc:
+            rv.make_presentation(letters, rels, weights)
+        assert exc.value.item == item
+
+
+@pytest.mark.parametrize("weight", ["2", None, True, False, 1.5, 2.0])
+def test_weights_must_be_int(weight):
+    with pytest.raises(rv.PresentationError, match="weight .* for letter 'a'") as exc:
+        rv.make_presentation(["a", "b"], [], {"a": weight})
+    assert exc.value.item == ("weights", "a")
+    assert rv.make_presentation(["a", "b"], [], {"a": 2}).weights == (2, 1)
 
 
 def test_duplicate_relations_deduplicated_with_diagnostic():

@@ -1,0 +1,62 @@
+"""Property tests on random small presentations.
+
+Presentations have 2-5 generator tokens drawn from the token grammar,
+weights 1-3, and relation sides of length 0-3, with repeated relations
+allowed.  Runs are derandomized, so every run checks the same examples.
+"""
+
+from __future__ import annotations
+
+import json
+import string
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reversal as rv
+
+# Generator tokens by the grammar [A-Za-z][A-Za-z0-9_.^-]*, at most 4 long.
+TOKENS = st.builds(
+    str.__add__,
+    st.sampled_from(string.ascii_letters),
+    st.text(string.ascii_letters + string.digits + "_.^-", max_size=3),
+)
+
+PROPERTY_SETTINGS = settings(
+    max_examples=60, deadline=None, derandomize=True, database=None
+)
+
+
+@st.composite
+def presentations(draw, epsilon: bool = True) -> rv.Presentation:
+    """Without `epsilon`, sides have length 1-3, so no relation is an
+    ε-relation."""
+    letters = draw(st.lists(TOKENS, min_size=2, max_size=5, unique=True))
+    weights = {tok: draw(st.integers(1, 3)) for tok in letters}
+    side = st.lists(st.sampled_from(letters), min_size=0 if epsilon else 1, max_size=3)
+    relations = draw(st.lists(st.tuples(side, side), max_size=6))
+    return rv.make_presentation(letters, relations, weights)
+
+
+@PROPERTY_SETTINGS
+@given(presentations())
+def test_format_then_parse_keeps_the_presentation(p):
+    q = rv.parse_presentation(rv.format_presentation(p))
+    assert (q.letters, q.relations, q.weights) == (p.letters, p.relations, p.weights)
+
+
+@PROPERTY_SETTINGS
+@given(presentations())
+def test_mirror_is_an_involution(p):
+    assert rv.mirror(rv.mirror(p)) == p
+
+
+@PROPERTY_SETTINGS
+@given(presentations(epsilon=False), st.data())
+def test_grid_json_round_trips(p, data):
+    word = st.lists(st.integers(0, len(p.letters) - 1), max_size=3).map(tuple)
+    u, v = data.draw(word), data.draw(word)
+    outcome = rv.reverse_enumerate(p, u, v, rv.Budget(max_cells=200, max_grids=20))
+    for g in outcome.grids:
+        doc = json.loads(json.dumps(rv.grid_to_json(g)))
+        assert rv.grid_from_json(p, doc) == g
