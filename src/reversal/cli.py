@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 from dataclasses import fields
-from typing import Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from . import catalog as _catalog
 from .cancellativity import (
@@ -31,12 +31,7 @@ from .completeness import (
     defect,
     defect_to_json,
 )
-from .congruence import (
-    Budget,
-    EquivStatus,
-    INFINITE,
-    are_equivalent,
-)
+from .congruence import INFINITE, Budget, EquivStatus, are_equivalent
 from .core import (
     Presentation,
     PresentationError,
@@ -44,12 +39,7 @@ from .core import (
     parse_presentation,
     validate,
 )
-from .grids import (
-    grid_to_json,
-    render_grid,
-    reverse_enumerate,
-    reverse_targets,
-)
+from .grids import grid_to_json, render_grid, reverse_enumerate, reverse_targets
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -117,12 +107,19 @@ def _build_parser() -> _Parser:
 
 
 def _load_presentation(args: argparse.Namespace) -> Presentation:
-    if getattr(args, "file", None) and getattr(args, "catalog", None):
+    if args.file and args.catalog:
         raise _UsageError("give exactly one of --file and --catalog")
-    if getattr(args, "file", None):
-        with open(args.file, encoding="utf-8") as fh:
-            return parse_presentation(fh.read())
-    if getattr(args, "catalog", None):
+    if args.file:
+        with open(args.file, "rb") as fh:
+            data = fh.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise _UsageError(
+                f"{args.file}: not valid UTF-8 at byte offset {exc.start}"
+            ) from exc
+        return parse_presentation(text)
+    if args.catalog:
         colors = _catalog.color_names(args.colors)
         return _catalog.build(args.catalog, args.n, colors)
     raise _UsageError("a presentation source is required (--file or --catalog)")
@@ -135,138 +132,107 @@ def _budget(args: argparse.Namespace) -> Budget:
         raise _UsageError(str(exc)) from exc
 
 
-def _emit(doc: dict, out: TextIO) -> None:
-    out.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+# A command computes its result once and returns (answer, document,
+# lines): True for a decided yes, False for a decided no, None otherwise;
+# then the JSON document and the text lines, two renderings of the one
+# result.  Costly lines come from a generator, so JSON mode never builds
+# them.  `run` writes one rendering and maps the answer to the exit code.
+_Result = tuple[bool | None, dict | None, Iterable[str]]
 
 
-def _words_json(p: Presentation, pairs) -> list:
-    return [[p.tokens(u1), p.tokens(v1)] for u1, v1 in pairs]
+def _letter_pairs(p: Presentation, pairs) -> list:
+    return [[p.letters[s], p.letters[t]] for s, t in pairs]
 
 
-def _cmd_validate(args, p: Presentation, b: Budget, out: TextIO) -> int:
+def _cmd_validate(args, p: Presentation, b: Budget) -> _Result:
     diags = validate(p)
     ok = not p.epsilon_relations
-    if args.json:
-        _emit(
-            {
-                "ok": ok,
-                "diagnostics": [
-                    {
-                        "kind": d.kind,
-                        "message": d.message,
-                        "relation_index": d.relation_index,
-                    }
-                    for d in diags
-                ],
-            },
-            out,
-        )
-    else:
-        for d in diags:
-            where = f" (relation {d.relation_index})" if d.relation_index is not None else ""
-            out.write(f"{d.kind}{where}: {d.message}\n")
-    return EXIT_YES if ok else EXIT_NO
+    doc = {
+        "ok": ok,
+        "diagnostics": [
+            {"kind": d.kind, "message": d.message, "relation_index": d.relation_index}
+            for d in diags
+        ],
+    }
+    lines = []
+    for d in diags:
+        where = "" if d.relation_index is None else f" (relation {d.relation_index})"
+        lines.append(f"{d.kind}{where}: {d.message}")
+    return ok, doc, lines
 
 
-def _cmd_reverse(args, p: Presentation, b: Budget, out: TextIO) -> int:
-    u, v = p.word(args.word1), p.word(args.word2)
-    search = reverse_targets(p, u, v, b)
-    targets = sorted(search.targets)
-    if args.json:
-        _emit(
-            {
-                "complete": search.complete,
-                "targets": _words_json(p, targets),
-                "stuck": [[p.letters[s], p.letters[t]] for s, t in sorted(search.stuck)],
-            },
-            out,
-        )
-    else:
-        if targets:
-            for u1, v1 in targets:
-                out.write(f"({p.word_str(u1)}, {p.word_str(v1)})\n")
-        else:
-            out.write("no reversing target\n")
-            for s, t in sorted(search.stuck):
-                out.write(f"stuck at ({p.letters[s]}, {p.letters[t]})\n")
+def _cmd_reverse(args, p: Presentation, b: Budget) -> _Result:
+    search = reverse_targets(p, p.word(args.word1), p.word(args.word2), b)
+    targets, stuck = sorted(search.targets), sorted(search.stuck)
+    doc = {
+        "complete": search.complete,
+        "targets": [[p.tokens(u1), p.tokens(v1)] for u1, v1 in targets],
+        "stuck": _letter_pairs(p, stuck),
+    }
     if targets:
-        return EXIT_YES
-    return EXIT_NO if search.complete else EXIT_INCONCLUSIVE
-
-
-def _cmd_grids(args, p: Presentation, b: Budget, out: TextIO) -> int:
-    u, v = p.word(args.word1), p.word(args.word2)
-    outcome = reverse_enumerate(p, u, v, b)
-    if args.json:
-        _emit(
-            {
-                "status": outcome.status.value,
-                "grids": [grid_to_json(g) for g in outcome.grids],
-                "stuck": [[p.letters[s], p.letters[t]] for s, t in outcome.stuck],
-            },
-            out,
-        )
+        answer = True
+        lines = [f"({p.word_str(u1)}, {p.word_str(v1)})" for u1, v1 in targets]
     else:
-        out.write(f"{outcome.status.value}: {len(outcome.grids)} grid(s)\n")
+        answer = False if search.complete else None
+        lines = ["no reversing target"]
+        lines += [f"stuck at ({p.letters[s]}, {p.letters[t]})" for s, t in stuck]
+    return answer, doc, lines
+
+
+def _cmd_grids(args, p: Presentation, b: Budget) -> _Result:
+    outcome = reverse_enumerate(p, p.word(args.word1), p.word(args.word2), b)
+    doc = {
+        "status": outcome.status.value,
+        "grids": [grid_to_json(g) for g in outcome.grids],
+        "stuck": _letter_pairs(p, outcome.stuck),
+    }
+
+    def lines() -> Iterator[str]:
+        yield f"{outcome.status.value}: {len(outcome.grids)} grid(s)"
         for i, g in enumerate(outcome.grids):
-            out.write(
-                f"\ngrid {i}: target ({p.word_str(g.target[0])}, "
-                f"{p.word_str(g.target[1])}), {g.cell_count} cells\n"
+            yield ""
+            yield (
+                f"grid {i}: target ({p.word_str(g.target[0])}, "
+                f"{p.word_str(g.target[1])}), {g.cell_count} cells"
             )
-            out.write(render_grid(g) + "\n")
-    if not outcome.completed:
-        return EXIT_INCONCLUSIVE
-    return EXIT_YES if outcome.grids else EXIT_NO
+            yield render_grid(g)
+
+    answer = bool(outcome.grids) if outcome.completed else None
+    return answer, doc, lines()
 
 
-def _cmd_equiv(args, p: Presentation, b: Budget, out: TextIO) -> int:
-    u, v = p.word(args.word1), p.word(args.word2)
-    outcome = are_equivalent(p, u, v, b)
-    if args.json:
-        _emit(
-            {
-                "status": outcome.status.value,
-                "distance": outcome.distance,
-                "explored": outcome.explored,
-            },
-            out,
-        )
-    else:
-        if outcome.status is EquivStatus.EQUIVALENT:
-            out.write(f"equivalent, distance {outcome.distance}\n")
-        else:
-            out.write(outcome.status.value + "\n")
+def _cmd_equiv(args, p: Presentation, b: Budget) -> _Result:
+    outcome = are_equivalent(p, p.word(args.word1), p.word(args.word2), b)
+    doc = {
+        "status": outcome.status.value,
+        "distance": outcome.distance,
+        "explored": outcome.explored,
+    }
+    line = outcome.status.value
     if outcome.status is EquivStatus.EQUIVALENT:
-        return EXIT_YES
-    if outcome.status is EquivStatus.NOT_EQUIVALENT:
-        return EXIT_NO
-    return EXIT_INCONCLUSIVE
+        line = f"equivalent, distance {outcome.distance}"
+    answer = {EquivStatus.EQUIVALENT: True, EquivStatus.NOT_EQUIVALENT: False}
+    return answer.get(outcome.status), doc, [line]
 
 
-def _cmd_complete(args, p: Presentation, b: Budget, out: TextIO) -> int:
+def _cmd_complete(args, p: Presentation, b: Budget) -> _Result:
     report = check_completeness(p, b)
-    if args.json:
-        _emit(completeness_to_json(p, report), out)
-    else:
-        out.write(f"verdict: {report.verdict.value}\n")
-        witness = report.witness
-        if witness is not None:
-            rel = witness.relation
-            out.write(
-                f"counterexample at generator {p.letters[witness.generator]}, "
-                f"relation {p.word_str(rel.lhs)} = {p.word_str(rel.rhs)} "
-                f"({witness.direction})\n"
-            )
-        if report.reason:
-            out.write(report.reason + "\n")
-    if report.verdict is Verdict.COMPLETE:
-        return EXIT_YES
-    if report.verdict is Verdict.INCOMPLETE:
-        return EXIT_NO
-    return EXIT_INCONCLUSIVE
+    lines = [f"verdict: {report.verdict.value}"]
+    witness = report.witness
+    if witness is not None:
+        rel = witness.relation
+        lines.append(
+            f"counterexample at generator {p.letters[witness.generator]}, "
+            f"relation {p.word_str(rel.lhs)} = {p.word_str(rel.rhs)} "
+            f"({witness.direction})"
+        )
+    if report.reason:
+        lines.append(report.reason)
+    answer = {Verdict.COMPLETE: True, Verdict.INCOMPLETE: False}
+    return answer.get(report.verdict), completeness_to_json(p, report), lines
 
 
-def _cmd_cancel(args, p: Presentation, b: Budget, out: TextIO) -> int:
+def _cmd_cancel(args, p: Presentation, b: Budget) -> _Result:
     left = check_left_cancellative(p, b)
     right = check_right_cancellative(p, b)
 
@@ -278,111 +244,70 @@ def _cmd_cancel(args, p: Presentation, b: Budget, out: TextIO) -> int:
             "completeness": v.completeness.verdict.value,
         }
 
-    if args.json:
-        _emit(
-            {
-                "left": verdict_json(left),
-                "right": verdict_json(right),
-                "evidence": {
-                    "left_pairs_checked": len(left.completeness.pairs),
-                    "right_pairs_checked": len(right.completeness.pairs),
-                },
-            },
-            out,
-        )
+    doc = {
+        "left": verdict_json(left),
+        "right": verdict_json(right),
+        "evidence": {
+            "left_pairs_checked": len(left.completeness.pairs),
+            "right_pairs_checked": len(right.completeness.pairs),
+        },
+    }
+    lines = [
+        f"{v.side}: {v.status.value}" + (f" ({v.reason})" if v.reason else "")
+        for v in (left, right)
+    ]
+    # The criterion proves cancellativity; it never refutes it.
+    both = left.status is right.status is CancelStatus.CANCELLATIVE
+    return (True if both else None), doc, lines
+
+
+def _cmd_multiple(args, p: Presentation, b: Budget) -> _Result:
+    """`lcm` and `multiple`, by `right_lcm` or `common_right_multiple`."""
+    find = right_lcm if args.command == "lcm" else common_right_multiple
+    result = find(p, p.word(args.word1), p.word(args.word2), b)
+    doc: dict = {"kind": result.kind.value}
+    if result.multiple is not None:
+        doc["multiple"] = p.tokens(result.multiple)
+        doc["complements"] = [p.tokens(w) for w in result.complements]
+        answer, line = True, f"{result.kind.value}: {p.word_str(result.multiple)}"
+    elif result.kind is MultipleKind.NO_COMMON_MULTIPLE:
+        answer, line = False, "no common right multiple"
     else:
-        for v in (left, right):
-            line = f"{v.side}: {v.status.value}"
-            if v.reason:
-                line += f" ({v.reason})"
-            out.write(line + "\n")
-    if (
-        left.status is CancelStatus.CANCELLATIVE
-        and right.status is CancelStatus.CANCELLATIVE
-    ):
-        return EXIT_YES
-    return EXIT_INCONCLUSIVE
+        answer, line = None, f"{result.kind.value}: {result.reason}"
+    if result.stuck:
+        doc["stuck"] = _letter_pairs(p, result.stuck)
+    if result.reason:
+        doc["reason"] = result.reason
+    return answer, doc, [line]
 
 
-def _cmd_lcm(args, p: Presentation, b: Budget, out: TextIO) -> int:
-    u, v = p.word(args.word1), p.word(args.word2)
-    result = right_lcm(p, u, v, b)
-    return _emit_multiple(args, p, result, out)
-
-
-def _cmd_multiple(args, p: Presentation, b: Budget, out: TextIO) -> int:
-    u, v = p.word(args.word1), p.word(args.word2)
-    result = common_right_multiple(p, u, v, b)
-    return _emit_multiple(args, p, result, out)
-
-
-def _emit_multiple(args, p: Presentation, result, out: TextIO) -> int:
-    if args.json:
-        doc: dict = {"kind": result.kind.value}
-        if result.multiple is not None:
-            doc["multiple"] = p.tokens(result.multiple)
-            doc["complements"] = [
-                p.tokens(result.complements[0]),
-                p.tokens(result.complements[1]),
-            ]
-        if result.stuck:
-            doc["stuck"] = [[p.letters[s], p.letters[t]] for s, t in result.stuck]
-        if result.reason:
-            doc["reason"] = result.reason
-        _emit(doc, out)
-    else:
-        if result.multiple is not None:
-            out.write(f"{result.kind.value}: {p.word_str(result.multiple)}\n")
-        elif result.kind is MultipleKind.NO_COMMON_MULTIPLE:
-            out.write("no common right multiple\n")
-        else:
-            out.write(f"{result.kind.value}: {result.reason}\n")
-    if result.kind in (MultipleKind.LCM, MultipleKind.MULTIPLE):
-        return EXIT_YES
-    if result.kind is MultipleKind.NO_COMMON_MULTIPLE:
-        return EXIT_NO
-    return EXIT_INCONCLUSIVE
-
-
-def _cmd_defect(args, p: Presentation, b: Budget, out: TextIO) -> int:
+def _cmd_defect(args, p: Presentation, b: Budget) -> _Result:
     result = defect(p, b)
-    if args.json:
-        _emit(defect_to_json(p, result), out)
-    else:
-        if result.value is None:
-            out.write("defect: budget exhausted\n")
-        elif result.value == INFINITE:
-            out.write("defect: infinite (presentation is not complete)\n")
-        else:
-            out.write(f"defect: {result.value}\n")
     if result.value is None:
-        return EXIT_INCONCLUSIVE
-    return EXIT_YES if result.value != INFINITE else EXIT_NO
+        answer, line = None, "defect: budget exhausted"
+    elif result.value == INFINITE:
+        answer, line = False, "defect: infinite (presentation is not complete)"
+    else:
+        answer, line = True, f"defect: {result.value}"
+    return answer, defect_to_json(p, result), [line]
 
 
-def _cmd_catalog(args, out: TextIO) -> int:
+def _cmd_catalog(args) -> _Result:
     colors = _catalog.color_names(args.colors)
     entry = _catalog.entry(args.name, args.n, colors)
     p = entry.presentation
     if args.emit:
-        out.write(format_presentation(p))
-    elif args.json:
-        _emit(
-            {
-                "name": entry.name,
-                "n": entry.n,
-                "colors": list(entry.colors) if entry.colors else None,
-                "generators": list(p.letters),
-                "relations": len(p.relations),
-            },
-            out,
-        )
-    else:
-        out.write(
-            f"{entry.name}: {len(p.letters)} generators, "
-            f"{len(p.relations)} relations\n"
-        )
-    return EXIT_YES
+        # The presentation file is the only rendering, also with --json.
+        return True, None, format_presentation(p).splitlines()
+    doc = {
+        "name": entry.name,
+        "n": entry.n,
+        "colors": list(entry.colors) if entry.colors else None,
+        "generators": list(p.letters),
+        "relations": len(p.relations),
+    }
+    line = f"{entry.name}: {len(p.letters)} generators, {len(p.relations)} relations"
+    return True, doc, [line]
 
 
 _COMMANDS = {
@@ -392,10 +317,12 @@ _COMMANDS = {
     "equiv": _cmd_equiv,
     "complete": _cmd_complete,
     "cancel": _cmd_cancel,
-    "lcm": _cmd_lcm,
+    "lcm": _cmd_multiple,
     "multiple": _cmd_multiple,
     "defect": _cmd_defect,
 }
+
+_EXIT = {True: EXIT_YES, False: EXIT_NO, None: EXIT_INCONCLUSIVE}
 
 
 def run(
@@ -403,20 +330,22 @@ def run(
     out: TextIO = sys.stdout,
     err: TextIO = sys.stderr,
 ) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _build_parser().parse_args(list(argv))
         if args.command == "catalog":
-            return _cmd_catalog(args, out)
-        p = _load_presentation(args)
-        b = _budget(args)
-        return _COMMANDS[args.command](args, p, b, out)
-    except _UsageError as exc:
+            answer, doc, lines = _cmd_catalog(args)
+        else:
+            command = _COMMANDS[args.command]
+            answer, doc, lines = command(args, _load_presentation(args), _budget(args))
+        if args.json and doc is not None:
+            out.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        else:
+            for line in lines:
+                out.write(line + "\n")
+    except (_UsageError, PresentationError, OSError) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except (PresentationError, OSError) as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_USAGE
+    return _EXIT[answer]
 
 
 def main() -> None:

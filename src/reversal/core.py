@@ -57,8 +57,13 @@ class ParseError(PresentationError):
 
     def __init__(self, message: str, line: int, column: int) -> None:
         super().__init__(f"line {line}, column {column}: {message}")
+        self._message = message
         self.line = line
         self.column = column
+
+    def __reduce__(self):
+        # `args` holds only the formatted message, so rebuild from the parts.
+        return type(self), (self._message, self.line, self.column), self.__dict__
 
 
 @dataclass(frozen=True)

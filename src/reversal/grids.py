@@ -424,15 +424,27 @@ def _next_tile(queue) -> Tile:
     return tile
 
 
+def _replay_trace(
+    left: Sequence[tuple],
+    top: Sequence[tuple],
+    choice_cells: list[Tile],
+    carry: Callable[[Tile, tuple, tuple], tuple[list, list]] = _carry_tag,
+) -> tuple[list, list, list]:
+    """`_replay` whose letter/letter cells are `choice_cells`, in trace
+    order; raises GridError when the trace ends early or has cells left."""
+    queue = iter(choice_cells)
+    filling = _replay(left, top, lambda _: _next_tile(queue), carry)
+    if next(queue, None) is not None:
+        raise GridError("trace has unused cells")
+    return filling
+
+
 def _rebuild(
     letters: tuple[str, ...], source: tuple[Word, Word], choice_cells: list[Tile]
 ) -> Grid:
     """The grid from `source` whose letter/letter cells are `choice_cells`,
     in trace order."""
-    queue = iter(choice_cells)
-    filling = _replay(_pairs(source[0]), _pairs(source[1]), lambda _: _next_tile(queue))
-    if next(queue, None) is not None:
-        raise GridError("trace has unused cells")
+    filling = _replay_trace(_pairs(source[0]), _pairs(source[1]), choice_cells)
     return _grid(letters, source, filling)
 
 
@@ -528,17 +540,9 @@ def _fmt_word(letters: tuple[str, ...], w: Word) -> str:
 
 def render_grid(g: Grid) -> str:
     """Deterministic ASCII drawing: lattice lines, one label per edge
-    segment, ε segments labelled explicitly."""
+    segment, ε segments labelled explicitly.  Raises GridError, as
+    `replay` does, when the trace does not fit."""
     u, v = g.source
-    if not g.cells:
-        return f"({_fmt_word(g.letters, u)}, {_fmt_word(g.letters, v)})"
-
-    hedges: dict[tuple, str] = {}
-    vedges: dict[tuple, str] = {}
-
-    def label(seg) -> str:
-        return EPS_LABEL if seg is None else g.letters[seg]
-
     # A tile splits each input's interval evenly among its outputs, so a
     # segment spans 1/d of a source letter for some integer d.  A first
     # replay finds the lcm of those d; the drawing replay then places
@@ -552,8 +556,15 @@ def render_grid(g: Grid) -> str:
         scale = math.lcm(scale, d_right, d_bottom)
         return _pairs(right, d_right), _pairs(bottom, d_bottom)
 
-    queue = iter(g.choice_cells())
-    _replay(_pairs(u, 1), _pairs(v, 1), lambda _: next(queue), carry_parts)
+    _replay_trace(_pairs(u, 1), _pairs(v, 1), g.choice_cells(), carry_parts)
+    if not g.cells:
+        return f"({_fmt_word(g.letters, u)}, {_fmt_word(g.letters, v)})"
+
+    hedges: dict[tuple, str] = {}
+    vedges: dict[tuple, str] = {}
+
+    def label(seg) -> str:
+        return EPS_LABEL if seg is None else g.letters[seg]
 
     def split(segs: tuple, a: int, c: int) -> list[tuple]:
         step = (c - a) // len(segs)
@@ -572,9 +583,8 @@ def render_grid(g: Grid) -> str:
             vedges.setdefault((x1, a, c), label(s))
         return right, bottom
 
-    queue = iter(g.choice_cells())
     left, top = split(u, 0, len(u) * scale), split(v, 0, len(v) * scale)
-    _replay(left, top, lambda _: next(queue), carry)
+    _replay_trace(left, top, g.choice_cells(), carry)
 
     xs = sorted({x for (_, a, c) in hedges for x in (a, c)} | {x for (x, _, _) in vedges})
     ys = sorted({y for (y, _, _) in hedges} | {y for (_, a, c) in vedges for y in (a, c)})

@@ -4,6 +4,7 @@ import io
 import json
 
 import reversal as rv
+from reversal import cli
 from reversal.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_NO,
@@ -153,6 +154,32 @@ def test_parse_error_reports_position(tmp_path):
     code, _, err = invoke("validate", "--file", str(path))
     assert code == EXIT_USAGE
     assert "line 2" in err
+
+
+def test_non_utf8_file_is_a_usage_error(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"gens: a\xff b\n")
+    code, out, err = invoke("validate", "--file", str(path))
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: {path}: not valid UTF-8 at byte offset 7\n"
+
+    # The offset counts from the start of the file, past any read buffer.
+    path.write_bytes(b"# padding\n" * 2000 + b"gens: a\xff b\n")
+    code, _, err = invoke("complete", "--file", str(path), "--json")
+    assert code == EXIT_USAGE
+    assert err == f"error: {path}: not valid UTF-8 at byte offset 20007\n"
+
+
+def test_grids_json_renders_no_drawing(monkeypatch):
+    def fail(_):
+        raise AssertionError("render_grid called in JSON mode")
+
+    monkeypatch.setattr(cli, "render_grid", fail)
+    code, out, _ = invoke(
+        "grids", "--catalog", "braid", "--n", "4", "--json", "s1", "s2 s3 s2"
+    )
+    assert code == EXIT_YES
+    assert len(json.loads(out)["grids"]) == 1
 
 
 def test_json_outputs_are_byte_deterministic():

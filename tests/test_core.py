@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pickle
 import random
 import re
 
@@ -66,6 +67,16 @@ def test_parse_errors_carry_position():
         rv.parse_presentation("rel: a = b")
     with pytest.raises(ParseError, match="duplicate 'gens:'"):
         rv.parse_presentation("gens: a\ngens: b")
+
+
+def test_parse_error_survives_pickling():
+    with pytest.raises(ParseError) as exc:
+        rv.parse_presentation("gens: a b\nrel: a c = b a")
+    for error in (exc.value, ParseError("x", 1, 2)):
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is ParseError
+        assert str(copy) == str(error)
+        assert (copy.line, copy.column, copy.item) == (error.line, error.column, None)
 
 
 def test_weight_for_unknown_letter_has_position():

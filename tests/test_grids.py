@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 import tracemalloc
@@ -267,6 +268,20 @@ def test_split_then_compose_is_identity(braid4):
     for k in (0, 1, 2, 3):
         g1, g2 = rv.split_h(g, k)
         assert rv.compose_h(g1, g2) == g
+
+
+def test_render_grid_rejects_a_bad_trace_like_replay(braid4):
+    g = rv.reverse_enumerate(braid4, braid4.word("s1"), braid4.word("s2 s3 s2")).grids[0]
+    short = dataclasses.replace(g, cells=g.cells[:2])
+    long = dataclasses.replace(g, cells=g.cells + (g.choice_cells()[0],))
+    for bad, message in ((short, "trace ended"), (long, "unused cells")):
+        with pytest.raises(rv.GridError, match=message):
+            rv.replay(bad)
+        with pytest.raises(rv.GridError, match=message):
+            rv.render_grid(bad)
+    empty = dataclasses.replace(g, cells=())
+    with pytest.raises(rv.GridError, match="trace ended"):
+        rv.render_grid(empty)
 
 
 def test_replay_determinism():
