@@ -25,6 +25,8 @@ from .cancellativity import (
     right_lcm,
 )
 from .completeness import (
+    CompletenessReport,
+    DiamondStatus,
     Verdict,
     check_completeness,
     completeness_to_json,
@@ -161,6 +163,31 @@ def _cmd_validate(args, p: Presentation, b: Budget) -> _Result:
     return ok, doc, lines
 
 
+# Why a target search without a target was cut short, and what to raise.
+_CUT_TEXT = {
+    "max_cells": "the search ran out of reversing steps (raise --max-cells)",
+    "max_grids": "a subproblem had too many targets (raise --max-grids)",
+    "cycle": "the search met a cyclic subproblem (no budget flag helps)",
+}
+
+
+def _first_inconclusive(
+    p: Presentation, report: CompletenessReport, label: str = "first inconclusive pair"
+) -> list[str]:
+    """A line naming the first inconclusive pair of `report` and its
+    reason; none when no pair is inconclusive."""
+    for rep in report.pairs:
+        if rep.status is DiamondStatus.INCONCLUSIVE:
+            rel = rep.relation
+            return [
+                f"{label}: generator "
+                f"{p.letters[rep.generator]}, relation {rel.index} "
+                f"({p.word_str(rel.lhs)} = {p.word_str(rel.rhs)}), "
+                f"{rep.direction}: {rep.reason}"
+            ]
+    return []
+
+
 def _cmd_reverse(args, p: Presentation, b: Budget) -> _Result:
     search = reverse_targets(p, p.word(args.word1), p.word(args.word2), b)
     targets, stuck = sorted(search.targets), sorted(search.stuck)
@@ -174,7 +201,8 @@ def _cmd_reverse(args, p: Presentation, b: Budget) -> _Result:
         lines = [f"({p.word_str(u1)}, {p.word_str(v1)})" for u1, v1 in targets]
     else:
         answer = False if search.complete else None
-        lines = ["no reversing target"]
+        why = "" if search.cut is None else f" found: {_CUT_TEXT[search.cut]}"
+        lines = [f"no reversing target{why}"]
         lines += [f"stuck at ({p.letters[s]}, {p.letters[t]})" for s, t in stuck]
     return answer, doc, lines
 
@@ -228,6 +256,8 @@ def _cmd_complete(args, p: Presentation, b: Budget) -> _Result:
         )
     if report.reason:
         lines.append(report.reason)
+    if report.verdict is Verdict.INCONCLUSIVE:
+        lines += _first_inconclusive(p, report)
     answer = {Verdict.COMPLETE: True, Verdict.INCOMPLETE: False}
     return answer.get(report.verdict), completeness_to_json(p, report), lines
 
@@ -252,10 +282,16 @@ def _cmd_cancel(args, p: Presentation, b: Budget) -> _Result:
             "right_pairs_checked": len(right.completeness.pairs),
         },
     }
-    lines = [
-        f"{v.side}: {v.status.value}" + (f" ({v.reason})" if v.reason else "")
-        for v in (left, right)
-    ]
+    lines = []
+    for v in (left, right):
+        reason = f" ({v.reason})" if v.reason else ""
+        lines.append(f"{v.side}: {v.status.value}{reason}")
+        if v.status is CancelStatus.INCONCLUSIVE:
+            # The right side is checked on the mirrored presentation.
+            where = " of the mirror" if v.side == "right" else ""
+            lines += _first_inconclusive(
+                p, v.completeness, f"  first inconclusive pair{where}"
+            )
     # The criterion proves cancellativity; it never refutes it.
     both = left.status is right.status is CancelStatus.CANCELLATIVE
     return (True if both else None), doc, lines

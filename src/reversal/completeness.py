@@ -14,7 +14,25 @@ Targets are compared by one rule, `congruence.word_distance` on each
 component: the rewrite distance read from the first word's cached class
 map, else from the second's; infinite when a complete class shows the
 words are not congruent, unknown when neither class map decides.  Two
-grids match when both distances are finite.
+grids match when both distances are finite.  Where both target classes
+of a grid are complete, that is the same as equal class keys: each
+complete class gets an id once per run, and a grid is keyed by the ids of
+its two targets' classes.  A grid with an incomplete class is compared by
+distances, grid by grid.
+
+A run over all pairs checks one pair per symmetry orbit.  An automorphism
+σ of the presentation (a weight-preserving letter permutation mapping the
+relation set onto itself) maps the grids from (s, w) one-to-one onto the
+grids from (σs, σw) and keeps congruence, so it maps the diamond reports
+of a pair onto those of its image.  The first pair of each orbit is
+checked; every other pair gets its reports by carrying the
+representative's grids through a verified σ, re-sorting them by trace as
+`reverse_enumerate` does, and matching them by the preimages' class keys.
+The re-sort is needed: an image cell may list its tiles in the tile table
+in another order than their keys, so carried grids do not keep their
+order.  An orbit whose representative is inconclusive or meets an
+incomplete class is checked pair by pair.  The automorphisms come from
+`symmetry`.
 
 The defect of a complete presentation is the worst, over all triples
 (s, relation, grid), of the best total distance between the outputs of the
@@ -26,11 +44,18 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import Sequence
 
-from .congruence import Budget, DEFAULT_BUDGET, INFINITE, word_distance
-from .core import Presentation, Relation, Word
-from .grids import Grid, reverse_enumerate, reverse_targets
+from .congruence import (
+    Budget,
+    DEFAULT_BUDGET,
+    INFINITE,
+    class_distances,
+    word_distance,
+)
+from .core import Presentation, Relation, Tile, Word
+from .grids import Grid, reverse_enumerate, reverse_targets, tiles
 
 LHS_TO_RHS = "lhs->rhs"
 RHS_TO_LHS = "rhs->lhs"
@@ -94,6 +119,11 @@ def _target_distance(
     return first + second
 
 
+# A grid's class key: the ids of its two targets' classes, or None when a
+# target's class map is incomplete.
+ClassKey = tuple[int, int] | None
+
+
 def _one_direction(
     p: Presentation,
     s: int,
@@ -101,21 +131,33 @@ def _one_direction(
     direction: str,
     src: tuple[Grid, ...],
     dst: tuple[Grid, ...],
+    src_keys: Sequence[ClassKey],
+    dst_keys: Sequence[ClassKey],
     b: Budget,
 ) -> DiamondReport:
+    """Match each source grid with the first grid of `dst` whose targets
+    are at finite distance: for a keyed source grid, the first with an
+    equal key; for one without, by comparing distances."""
+    first: dict[tuple[int, int], int] = {}
+    for j, key in enumerate(dst_keys):
+        if key is not None:
+            first.setdefault(key, j)
     matching: list[int | None] = []
     witness: Grid | None = None
     undecided = False
-    for g in src:
+    for g, key in zip(src, src_keys):
         found: int | None = None
         grid_undecided = False
-        for j, g2 in enumerate(dst):
-            d = _target_distance(p, g, g2, b)
-            if d is None:
-                grid_undecided = True
-            elif d is not INFINITE:
-                found = j
-                break
+        if key is not None:
+            found = first.get(key)
+        else:
+            for j, g2 in enumerate(dst):
+                d = _target_distance(p, g, g2, b)
+                if d is None:
+                    grid_undecided = True
+                elif d is not INFINITE:
+                    found = j
+                    break
         matching.append(found)
         if found is None:
             if grid_undecided:
@@ -145,12 +187,248 @@ def _one_direction(
     )
 
 
+Pair = tuple[int, int]  # (generator, relation index)
+
+
+_TileIndex = tuple[list[Tile], dict[int, int], dict[tuple[int, int], Tile]]
+
+
+def _tile_index(p: Presentation) -> _TileIndex:
+    """Every tile a grid of p can hold (the tile table and the forced
+    tiles of ε cells); each one's rank by `Tile.key`, by id, so that tuples
+    of ranks sort as `Grid.trace_key` does; and the relation tiles by
+    (relation index, orientation)."""
+    all_tiles = [t for ts in p.tile_table.values() for t in ts]
+    all_tiles += tiles(p, None, None)
+    for x in range(len(p.letters)):
+        all_tiles += tiles(p, x, None) + tiles(p, None, x)
+    ranked = sorted(all_tiles, key=Tile.key)
+    ranks = {id(t): r for r, t in enumerate(ranked)}
+    by_relation = {
+        (t.rel_index, t.orientation): t for t in all_tiles if t.rel_index is not None
+    }
+    return all_tiles, ranks, by_relation
+
+
+class Symmetry:
+    """One verified automorphism σ of p, and how it carries pairs and
+    grids.  Carried target words are kept once each in `words`, which the
+    symmetries of one run share: many grids have the same targets."""
+
+    def __init__(
+        self,
+        p: Presentation,
+        sigma: Sequence[int],
+        images: tuple[tuple[int, int], ...],
+        tile_index: _TileIndex,
+        words: dict[Word, Word],
+    ) -> None:
+        self.p = p
+        self.sigma = tuple(sigma)
+        # Per relation: (index of its image, 1 if σ maps lhs to its rhs).
+        self.images = images
+        self.tile_index = tile_index
+        self.words = words
+
+    def word(self, w: Word) -> Word:
+        image = tuple(map(self.sigma.__getitem__, w))
+        return self.words.setdefault(image, image)
+
+    @cached_property
+    def tile_maps(self) -> tuple[dict[int, Tile], dict[int, int]]:
+        """id of each tile of p -> its image, and -> its image's rank."""
+        p, sigma = self.p, self.sigma
+        all_tiles, ranks, by_relation = self.tile_index
+        image_of: dict[int, Tile] = {}
+        for t in all_tiles:
+            if t.rel_index is not None:
+                index, flip = self.images[t.rel_index]
+                image = by_relation[index, t.orientation ^ flip]
+            else:  # a cancellation or forced tile, the only one of its cell
+                left = None if t.left is None else sigma[t.left]
+                top = None if t.top is None else sigma[t.top]
+                image = tiles(p, left, top)[0]
+            image_of[id(t)] = image
+        rank_of = {i: ranks[id(image)] for i, image in image_of.items()}
+        return image_of, rank_of
+
+    def pair(self, pair: Pair) -> tuple[int, int, int]:
+        """The image (generator, relation index) of `pair`, and 1 when σ
+        maps the relation's lhs onto the image's rhs."""
+        s, rel_index = pair
+        index, flip = self.images[rel_index]
+        return self.sigma[s], index, flip
+
+    def grids(
+        self, grids: tuple[Grid, ...], source: tuple[Word, Word]
+    ) -> list[tuple[Grid, int]]:
+        """The images of `grids`, all from `source`, in trace order, each
+        with the index of its preimage."""
+        image_of, rank_of = self.tile_maps
+        tile, word = image_of.__getitem__, self.word
+        letters = self.p.letters
+        carried = []
+        for i, g in enumerate(grids):
+            u1, v1 = g.target
+            target = (word(u1), word(v1))
+            cells = tuple(map(tile, map(id, g.cells)))
+            carried.append((Grid(letters, source, target, cells), i))
+        if len(carried) > 1:
+            rank = rank_of.__getitem__
+            carried.sort(key=lambda gi: tuple(map(rank, map(id, grids[gi[1]].cells))))
+        return carried
+
+
+def symmetries(p: Presentation) -> list[Symmetry]:
+    """The automorphisms of p other than the identity that pass the
+    verifier, sharing one store of carried words."""
+    from .symmetry import automorphism_relations  # see Presentation.automorphisms
+
+    identity = tuple(range(len(p.letters)))
+    verified = []
+    for sigma in p.automorphisms:
+        images = automorphism_relations(p, sigma)
+        if images is not None and tuple(sigma) != identity:
+            verified.append((sigma, images))
+    index = _tile_index(p) if verified else None
+    words: dict[Word, Word] = {}
+    return [Symmetry(p, sigma, images, index, words) for sigma, images in verified]
+
+
+def orbits(
+    p: Presentation, syms: Sequence[Symmetry]
+) -> dict[Pair, tuple[Pair, Symmetry]]:
+    """(generator, relation index) -> (its representative, a symmetry
+    mapping the representative onto it), for every pair that is not a
+    representative.  A representative is the first pair of its orbit in
+    checking order: by generator, then relation."""
+    out: dict[Pair, tuple[Pair, Symmetry]] = {}
+    seen: set[Pair] = set()
+    for s in range(len(p.letters)):
+        for rel in p.relations:
+            rep = (s, rel.index)
+            if rep in seen:
+                continue
+            seen.add(rep)
+            for sym in syms:
+                image = sym.pair(rep)[:2]
+                if image not in seen:
+                    seen.add(image)
+                    out[image] = (rep, sym)
+    return out
+
+
+class DiamondContext:
+    """What the diamond checks of one run over a presentation share: the
+    class ids, the orbits of (generator, relation) pairs, and the grids of
+    the representatives checked so far.  It lives as long as the run."""
+
+    def __init__(self, p: Presentation, b: Budget) -> None:
+        self.p = p
+        self.b = b
+        # Word -> id of its complete class, or None when its class map is
+        # incomplete.
+        self.class_ids: dict[Word, int | None] = {}
+        self.classes = 0
+        # (generator, relation index) of a checked representative -> the
+        # grids of its two sides and their class keys.
+        self.representatives: dict[tuple[int, int], tuple] = {}
+
+    def class_id(self, w: Word) -> int | None:
+        if w in self.class_ids:
+            return self.class_ids[w]
+        dist, complete = class_distances(self.p, w, self.b)
+        if not complete:
+            self.class_ids[w] = None
+            return None
+        self.classes += 1
+        self.class_ids.update(dict.fromkeys(dist, self.classes))
+        return self.classes
+
+    def class_key(self, g: Grid) -> ClassKey:
+        first = self.class_id(g.target[0])
+        if first is None:
+            return None
+        second = self.class_id(g.target[1])
+        return None if second is None else (first, second)
+
+    @cached_property
+    def orbits(self) -> dict[Pair, tuple[Pair, Symmetry]]:
+        """Every pair that is not its orbit's representative -> (the
+        representative, a verified symmetry mapping it onto the pair)."""
+        return orbits(self.p, symmetries(self.p))
+
+    def transported(
+        self, s: int, rel: Relation
+    ) -> tuple[DiamondReport, DiamondReport] | None:
+        """The reports of (s, rel) carried over from its orbit's checked
+        representative, or None when the pair must be checked itself.
+
+        σ keeps congruence, so two carried grids have congruent targets
+        exactly when their preimages' class keys are equal; each carried
+        grid keeps its preimage's key."""
+        entry = self.orbits.get((s, rel.index))
+        data = None if entry is None else self.representatives.get(entry[0])
+        if data is None:
+            return None
+        (rep, sym), (grids, keys) = entry, data
+        if sym.pair(rep)[2]:  # σ maps the lhs side onto rel's rhs side
+            grids, keys = grids[::-1], keys[::-1]
+        sides = []
+        for side, side_grids, side_keys in zip((rel.lhs, rel.rhs), grids, keys):
+            carried = sym.grids(side_grids, ((s,), side))
+            sides.append(tuple(g for g, _ in carried))
+            sides.append(tuple(side_keys[i] for _, i in carried))
+        lhs_grids, lhs_keys, rhs_grids, rhs_keys = sides
+        p, b = self.p, self.b
+        fwd = _one_direction(
+            p, s, rel, LHS_TO_RHS, lhs_grids, rhs_grids, lhs_keys, rhs_keys, b
+        )
+        bwd = _one_direction(
+            p, s, rel, RHS_TO_LHS, rhs_grids, lhs_grids, rhs_keys, lhs_keys, b
+        )
+        return fwd, bwd
+
+    def record(
+        self,
+        s: int,
+        rel: Relation,
+        reports: tuple[DiamondReport, DiamondReport],
+        grids: tuple[tuple[Grid, ...], tuple[Grid, ...]],
+        keys: tuple[tuple[ClassKey, ...], tuple[ClassKey, ...]],
+    ) -> None:
+        """Keep a checked pair's grids for transport, unless a report is
+        inconclusive or a class map incomplete."""
+        if any(rep.status is DiamondStatus.INCONCLUSIVE for rep in reports):
+            return
+        if None in keys[0] or None in keys[1]:
+            return
+        self.representatives[s, rel.index] = (grids, keys)
+
+
 def check_diamond(
-    p: Presentation, s: int, rel: Relation, b: Budget = DEFAULT_BUDGET
+    p: Presentation,
+    s: int,
+    rel: Relation,
+    b: Budget = DEFAULT_BUDGET,
+    context: DiamondContext | None = None,
 ) -> tuple[DiamondReport, DiamondReport]:
     """Check the diamond condition for one generator and one relation, in
     both directions.  Any budget exhaustion downgrades to inconclusive
-    rather than guessing."""
+    rather than guessing.
+
+    Alone, the pair is checked directly.  Within a run that shares a
+    `context` (as `check_completeness` does), a pair whose orbit
+    representative was checked gets that representative's reports carried
+    over by a symmetry; the reports are the same either way."""
+    if context is None:
+        context = DiamondContext(p, b)
+    elif context.p is not p or context.b != b:
+        raise ValueError("the context belongs to another presentation or budget")
+    else:
+        reports = context.transported(s, rel)
+        if reports is not None:
+            return reports
     out_l = reverse_enumerate(p, (s,), rel.lhs, b)
     out_r = reverse_enumerate(p, (s,), rel.rhs, b)
     if not out_l.completed or not out_r.completed:
@@ -165,8 +443,14 @@ def check_diamond(
             reason="grid enumeration exceeded the budget",
         )
         return fwd, replace(fwd, direction=RHS_TO_LHS)
-    fwd = _one_direction(p, s, rel, LHS_TO_RHS, out_l.grids, out_r.grids, b)
-    bwd = _one_direction(p, s, rel, RHS_TO_LHS, out_r.grids, out_l.grids, b)
+    grids = (out_l.grids, out_r.grids)
+    keys = (
+        tuple(map(context.class_key, out_l.grids)),
+        tuple(map(context.class_key, out_r.grids)),
+    )
+    fwd = _one_direction(p, s, rel, LHS_TO_RHS, *grids, *keys, b)
+    bwd = _one_direction(p, s, rel, RHS_TO_LHS, *grids[::-1], *keys[::-1], b)
+    context.record(s, rel, (fwd, bwd), grids, keys)
     return (fwd, bwd)
 
 
@@ -193,9 +477,10 @@ def check_completeness(
             "noetherianity witness",
         )
     pairs: list[DiamondReport] = []
+    context = DiamondContext(p, b)
     for s in range(len(p.letters)):
         for rel in p.relations:
-            fwd, bwd = check_diamond(p, s, rel, b)
+            fwd, bwd = check_diamond(p, s, rel, b, context)
             pairs.append(fwd)
             pairs.append(bwd)
     statuses = {rep.status for rep in pairs}

@@ -13,11 +13,13 @@ presented monoid; that is the only noetherianity witness this package
 supports.
 
 A presentation compiles what the algorithms look up over and over: its
-hash, its tile table (the tiles of each letter/letter grid cell) and its
-rewrite index (the oriented relations with distinct sides).  Each is
-built lazily from the presentation alone and never changes; none caches
-a computed result.  They are not fields, so equality, `repr`, copies and
-pickles ignore them, and a derived presentation compiles its own.
+hash, its tile table (the tiles of each letter/letter grid cell), its
+rewrite index (the oriented relations with distinct sides), its oriented
+relation pairs and its automorphisms (letter permutations that keep
+weights and map the relation set onto itself).  Each is built lazily from
+the presentation alone and never changes; none caches a computed result.
+They are not fields, so equality, `repr`, copies and pickles ignore them,
+and a derived presentation compiles its own.
 """
 
 from __future__ import annotations
@@ -194,6 +196,27 @@ class Presentation:
             for src, dst in ((rel.lhs, rel.rhs), (rel.rhs, rel.lhs))
             if src != dst
         )
+
+    @cached_property
+    def oriented_relations(self) -> dict[tuple[Word, Word], tuple[int, int]]:
+        """(side, other side) -> (relation index, orientation) for both
+        orientations of every relation; orientation 0 reads lhs = rhs."""
+        out: dict[tuple[Word, Word], tuple[int, int]] = {}
+        for rel in self.relations:
+            out.setdefault((rel.lhs, rel.rhs), (rel.index, 0))
+            out.setdefault((rel.rhs, rel.lhs), (rel.index, 1))
+        return out
+
+    @cached_property
+    def automorphisms(self) -> tuple[tuple[int, ...], ...]:
+        """Letter maps σ (σ[i] the image of letter i) found by
+        `symmetry.find_automorphisms`; unverified, see
+        `symmetry.automorphism_relations`."""
+        # Imported on first use: most runs never need automorphisms, so
+        # importing the package does not load that module.
+        from .symmetry import find_automorphisms
+
+        return find_automorphisms(self)[0]
 
     def letter(self, token: str) -> int:
         try:

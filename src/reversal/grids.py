@@ -275,6 +275,9 @@ class TargetSearch:
     complete: bool
     stuck: frozenset[tuple[int, int]]
     explored: int
+    # The first limit that cut the search: "max_cells", "max_grids" or
+    # "cycle"; None when the search is complete.
+    cut: str | None = None
 
 
 def reverse_targets(
@@ -285,8 +288,8 @@ def reverse_targets(
     `complete` is False when the step budget (max_cells tile
     applications, one per letter/letter cell of a distinct subproblem), a
     target-set cap (max_grids), or a cyclic subproblem cut the search; a
-    True value certifies the target set is exhaustive.  `explored` is the
-    number of steps taken.
+    True value certifies the target set is exhaustive.  `cut` names the
+    first of these that fired.  `explored` is the number of steps taken.
     """
     _require_reversible(p, u, v)
     heads: list[int] = [-1]
@@ -316,12 +319,12 @@ def reverse_targets(
     active: set[tuple[int, int]] = set()
     stuck: set[tuple[int, int]] = set()
     steps = 0
-    complete = True
+    cut: str | None = None
 
     def targets(uu: int, vv: int):
         """The targets of (uu, vv), both nonempty: yields each word pair
         whose targets it needs and is sent them back."""
-        nonlocal steps, complete
+        nonlocal steps, cut
         s, t = heads[uu], heads[vv]
         u2, v2 = tails[uu], tails[vv]
         options = letter_tiles(p, s, t)
@@ -331,13 +334,13 @@ def reverse_targets(
         for tile in options:
             steps += 1
             if steps > b.max_cells:
-                complete = False
+                cut = cut or "max_cells"
                 break
             for a1, c in (yield prepend(tile.right, 0), v2):
                 for u1, v1 in (yield u2, prepend(tile.bottom, c)):
                     acc.add((prepend(spell(a1), u1), v1))
                     if len(acc) > b.max_grids:
-                        complete = False
+                        cut = cut or "max_grids"
                         break
         return frozenset(acc)
 
@@ -347,7 +350,7 @@ def reverse_targets(
         if key in done:
             result = done[key]
         elif key in active:
-            complete = False
+            cut = cut or "cycle"
             result = frozenset()
         elif not key[0] or not key[1]:
             result = done[key] = frozenset({key})
@@ -368,9 +371,10 @@ def reverse_targets(
         else:
             return TargetSearch(
                 frozenset((spell(a), spell(c)) for a, c in result),
-                complete,
+                cut is None,
                 frozenset(stuck),
                 explored=steps,
+                cut=cut,
             )
 
 

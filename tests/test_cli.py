@@ -100,6 +100,40 @@ def test_reverse_and_grids():
     assert code == EXIT_NO
 
 
+def test_reverse_text_names_the_limit(tmp_path):
+    code, out, _ = invoke(
+        "reverse", "--catalog", "braid", "--n", "4", "s1 s2", "s3 s2", "--max-cells", "3"
+    )
+    assert code == EXIT_INCONCLUSIVE and "raise --max-cells" in out
+    code, out, _ = invoke(
+        "reverse", "--catalog", "colored-braid", "--n", "3", "--colors", "3",
+        "s1.a", "s2.b", "--max-grids", "1",
+    )
+    # Targets were found before the cap fired, so they are listed.
+    assert code == EXIT_YES and "no reversing target" not in out
+    path = tmp_path / "cyclic.txt"
+    path.write_text("gens: a b\nrel: a b = b b a\n", encoding="utf-8")
+    code, out, _ = invoke("reverse", "--file", str(path), "a", "b a")
+    assert code == EXIT_INCONCLUSIVE
+    assert out.startswith("no reversing target found: the search met a cyclic")
+
+
+def test_inconclusive_text_names_the_first_pair():
+    code, out, _ = invoke(
+        "complete", "--catalog", "braid", "--n", "4", "--max-class-size", "1"
+    )
+    assert code == EXIT_INCONCLUSIVE
+    assert out.splitlines()[1] == (
+        "first inconclusive pair: generator s1, relation 2 (s2 s3 s2 = s3 s2 s3), "
+        "lhs->rhs: oracle budget exhausted during matching"
+    )
+    code, out, _ = invoke(
+        "cancel", "--catalog", "braid", "--n", "4", "--max-class-size", "1"
+    )
+    assert code == EXIT_INCONCLUSIVE
+    assert out.splitlines()[3].startswith("  first inconclusive pair of the mirror:")
+
+
 def test_validate_command(tmp_path):
     path = tmp_path / "p.txt"
     path.write_text("gens: a b\nrel: a b = b a\n", encoding="utf-8")

@@ -413,6 +413,25 @@ def test_reverse_targets_agrees_with_enumeration():
             assert search.targets == frozenset(g.target for g in out.grids), name
 
 
+def test_reverse_targets_names_the_limit_that_cut_it():
+    b4 = rv.braid(4)
+    search = rv.reverse_targets(b4, b4.word("s1 s2"), b4.word("s3 s2"))
+    assert search.complete and search.cut is None
+    search = rv.reverse_targets(
+        b4, b4.word("s1 s2"), b4.word("s3 s2"), rv.Budget(max_cells=3)
+    )
+    assert not search.complete and search.cut == "max_cells"
+    cb3 = rv.colored_braid(3, ["a", "b", "c"])
+    search = rv.reverse_targets(
+        cb3, cb3.word("s1.a"), cb3.word("s2.b"), rv.Budget(max_grids=1)
+    )
+    assert not search.complete and search.cut == "max_grids"
+    # Not homogeneous: the subproblem (a, b a) comes back inside itself.
+    p = rv.make_presentation(["a", "b"], [("a b", "b b a")])
+    search = rv.reverse_targets(p, p.word("a"), p.word("b a"))
+    assert not search.complete and search.cut == "cycle"
+
+
 def test_reverse_targets_stuck_witnesses(colored42):
     p = colored42
     search = rv.reverse_targets(p, p.word("s1.a"), p.word("s1.b"))
