@@ -27,7 +27,6 @@ from .core import (
     Word,
     is_right_complemented,
     left_cancel_conflicts,
-    mirror,
 )
 from .grids import reverse_targets
 
@@ -75,7 +74,7 @@ def check_right_cancellative(
     p: Presentation, b: Budget = DEFAULT_BUDGET
 ) -> CancellativityVerdict:
     """The left criterion on the mirrored presentation, relabelled."""
-    verdict = check_left_cancellative(mirror(p), b)
+    verdict = check_left_cancellative(p.mirrored, b)
     return replace(verdict, side="right")
 
 

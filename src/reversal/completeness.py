@@ -11,14 +11,15 @@ weights), verified diamonds imply that (u, v) reverses to (ε, ε) exactly
 when u ≡ v.
 
 Targets are compared by one rule, `congruence.word_distance` on each
-component: the rewrite distance read from the first word's cached class
-map, else from the second's; infinite when a complete class shows the
-words are not congruent, unknown when neither class map decides.  Two
-grids match when both distances are finite.  Where both target classes
-of a grid are complete, that is the same as equal class keys: each
-complete class gets an id once per run, and a grid is keyed by the ids of
-its two targets' classes.  A grid with an incomplete class is compared by
-distances, grid by grid.
+component: the rewrite distance read from the first word's class map,
+else from the second's; infinite when a complete class shows the words
+are not congruent, unknown when neither class map decides.  Two grids
+match when both distances are finite.  Where both target classes of a
+grid are complete, that is the same as equal class keys: each complete
+class gets an id once per run, and a grid is keyed by the ids of its two
+targets' classes.  A grid with an incomplete class is compared by
+distances, grid by grid.  A run's `DiamondContext` computes each word's
+class map once and drops them all when the run ends.
 
 A run over all pairs checks one pair per symmetry orbit.  An automorphism
 σ of the presentation (a weight-preserving letter permutation mapping the
@@ -51,6 +52,7 @@ from .congruence import (
     Budget,
     DEFAULT_BUDGET,
     INFINITE,
+    ClassMap,
     class_distances,
     word_distance,
 )
@@ -105,27 +107,13 @@ class CompletenessReport:
         return None
 
 
-def _target_distance(
-    p: Presentation, g1: Grid, g2: Grid, b: Budget
-) -> int | float | None:
-    """dist(u1, u1') + dist(v1, v1') between the targets of g1 and g2;
-    INFINITE or None as soon as one component is."""
-    first = word_distance(p, g1.target[0], g2.target[0], b)
-    if first is None or first is INFINITE:
-        return first
-    second = word_distance(p, g1.target[1], g2.target[1], b)
-    if second is None or second is INFINITE:
-        return second
-    return first + second
-
-
 # A grid's class key: the ids of its two targets' classes, or None when a
 # target's class map is incomplete.
 ClassKey = tuple[int, int] | None
 
 
 def _one_direction(
-    p: Presentation,
+    context: DiamondContext,
     s: int,
     rel: Relation,
     direction: str,
@@ -133,7 +121,6 @@ def _one_direction(
     dst: tuple[Grid, ...],
     src_keys: Sequence[ClassKey],
     dst_keys: Sequence[ClassKey],
-    b: Budget,
 ) -> DiamondReport:
     """Match each source grid with the first grid of `dst` whose targets
     are at finite distance: for a keyed source grid, the first with an
@@ -152,7 +139,7 @@ def _one_direction(
             found = first.get(key)
         else:
             for j, g2 in enumerate(dst):
-                d = _target_distance(p, g, g2, b)
+                d = context.target_distance(g, g2)
                 if d is None:
                     grid_undecided = True
                 elif d is not INFINITE:
@@ -320,12 +307,14 @@ def orbits(
 
 class DiamondContext:
     """What the diamond checks of one run over a presentation share: the
-    class ids, the orbits of (generator, relation) pairs, and the grids of
-    the representatives checked so far.  It lives as long as the run."""
+    class maps and class ids, the orbits of (generator, relation) pairs,
+    and the grids of the representatives checked so far.  It lives as long
+    as the run, and no class map outlives it."""
 
     def __init__(self, p: Presentation, b: Budget) -> None:
         self.p = p
         self.b = b
+        self.class_maps: dict[Word, ClassMap] = {}
         # Word -> id of its complete class, or None when its class map is
         # incomplete.
         self.class_ids: dict[Word, int | None] = {}
@@ -334,10 +323,27 @@ class DiamondContext:
         # grids of its two sides and their class keys.
         self.representatives: dict[tuple[int, int], tuple] = {}
 
+    def class_map(self, w: Word) -> ClassMap:
+        entry = self.class_maps.get(w)
+        if entry is None:
+            entry = self.class_maps[w] = class_distances(self.p, w, self.b)
+        return entry
+
+    def target_distance(self, g1: Grid, g2: Grid) -> int | float | None:
+        """dist(u1, u1') + dist(v1, v1') between the targets of g1 and g2;
+        INFINITE or None as soon as one component is."""
+        first = word_distance(g1.target[0], g2.target[0], self.class_map)
+        if first is None or first is INFINITE:
+            return first
+        second = word_distance(g1.target[1], g2.target[1], self.class_map)
+        if second is None or second is INFINITE:
+            return second
+        return first + second
+
     def class_id(self, w: Word) -> int | None:
         if w in self.class_ids:
             return self.class_ids[w]
-        dist, complete = class_distances(self.p, w, self.b)
+        dist, complete = self.class_map(w)
         if not complete:
             self.class_ids[w] = None
             return None
@@ -380,12 +386,11 @@ class DiamondContext:
             sides.append(tuple(g for g, _ in carried))
             sides.append(tuple(side_keys[i] for _, i in carried))
         lhs_grids, lhs_keys, rhs_grids, rhs_keys = sides
-        p, b = self.p, self.b
         fwd = _one_direction(
-            p, s, rel, LHS_TO_RHS, lhs_grids, rhs_grids, lhs_keys, rhs_keys, b
+            self, s, rel, LHS_TO_RHS, lhs_grids, rhs_grids, lhs_keys, rhs_keys
         )
         bwd = _one_direction(
-            p, s, rel, RHS_TO_LHS, rhs_grids, lhs_grids, rhs_keys, lhs_keys, b
+            self, s, rel, RHS_TO_LHS, rhs_grids, lhs_grids, rhs_keys, lhs_keys
         )
         return fwd, bwd
 
@@ -448,8 +453,8 @@ def check_diamond(
         tuple(map(context.class_key, out_l.grids)),
         tuple(map(context.class_key, out_r.grids)),
     )
-    fwd = _one_direction(p, s, rel, LHS_TO_RHS, *grids, *keys, b)
-    bwd = _one_direction(p, s, rel, RHS_TO_LHS, *grids[::-1], *keys[::-1], b)
+    fwd = _one_direction(context, s, rel, LHS_TO_RHS, *grids, *keys)
+    bwd = _one_direction(context, s, rel, RHS_TO_LHS, *grids[::-1], *keys[::-1])
     context.record(s, rel, (fwd, bwd), grids, keys)
     return (fwd, bwd)
 
@@ -551,12 +556,13 @@ def defect(p: Presentation, b: Budget = DEFAULT_BUDGET) -> DefectResult:
         )
     best_value: int | float = 0
     best_witness: DefectWitness | None = None
+    context = DiamondContext(p, b)
     for rep in report.pairs:
         for g in rep.src_grids:
             dmin: int | float = INFINITE
             dmin_grid: Grid | None = None
             for g2 in rep.dst_grids:
-                d = _target_distance(p, g, g2, b)
+                d = context.target_distance(g, g2)
                 if d is None:
                     return DefectResult(None, None)
                 if d < dmin:

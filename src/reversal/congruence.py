@@ -5,9 +5,9 @@ other side, at any position and in either orientation.  Rewriting is
 symmetric, so the congruence class of a word is its connected component in
 the rewrite graph and the combinatorial distance is the graph distance.
 
-Two search modes are provided: full class enumeration (cached; used when
-many distance queries against one source are expected) and an exact
-bidirectional search for single equivalence queries.  For
+Two search modes are provided: full class enumeration (a distance map
+over the class, built afresh on each call and kept by its caller only)
+and an exact bidirectional search for single equivalence queries.  For
 weight-homogeneous presentations with positive weights every class is
 finite, so searches reach fixed points; otherwise exploration is cut off
 by the budget and flagged.  A negative answer ("not equivalent") is only
@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import Callable
 
 from .core import Presentation, Word, word_text
 
@@ -100,13 +100,12 @@ def _weight_cap(p: Presentation, max_word_weight: int, *words: Word) -> int:
     return max(max_word_weight, *(p.word_weight(w) for w in words))
 
 
-@lru_cache(maxsize=4096)
-def _bfs_class(
-    p: Presentation, w: Word, max_class_size: int, max_word_weight: int
-) -> tuple[dict[Word, int], bool]:
+ClassMap = tuple[dict[Word, int], bool]
+
+
+def class_distances(p: Presentation, w: Word, b: Budget = DEFAULT_BUDGET) -> ClassMap:
     """Distance map over the class of `w`, and whether it is complete."""
-    # The cap is taken here, not in the key, so a cache hit sums no weights.
-    weight_cap = _weight_cap(p, max_word_weight, w)
+    weight_cap = _weight_cap(p, b.max_word_weight, w)
     dist: dict[Word, int] = {w: 0}
     queue: deque[Word] = deque([w])
     complete = True
@@ -116,7 +115,7 @@ def _bfs_class(
         for nxt in rewrite_neighbors(p, cur):
             if nxt in dist:
                 continue
-            if len(dist) >= max_class_size or p.word_weight(nxt) > weight_cap:
+            if len(dist) >= b.max_class_size or p.word_weight(nxt) > weight_cap:
                 complete = False
                 continue
             dist[nxt] = d
@@ -124,27 +123,21 @@ def _bfs_class(
     return dist, complete
 
 
-def class_distances(
-    p: Presentation, w: Word, b: Budget = DEFAULT_BUDGET
-) -> tuple[dict[Word, int], bool]:
-    return _bfs_class(p, w, b.max_class_size, b.max_word_weight)
-
-
 def word_distance(
-    p: Presentation, w1: Word, w2: Word, b: Budget = DEFAULT_BUDGET
+    w1: Word, w2: Word, class_map: Callable[[Word], ClassMap]
 ) -> int | float | None:
-    """The rewrite distance from w1 to w2, read from the cached class map
-    of w1, else from that of w2: INFINITE once a complete class map lacks
-    the other word, None when neither map decides within the budget.
-    Many comparisons against one word reuse its map."""
+    """The rewrite distance from w1 to w2, read from `class_map(w1)`, else
+    from `class_map(w2)`: INFINITE once a complete class map lacks the
+    other word, None when neither map decides within the budget.  The
+    caller owns the maps (see `completeness.DiamondContext.class_map`)."""
     if w1 == w2:
         return 0
-    dist, complete = class_distances(p, w1, b)
+    dist, complete = class_map(w1)
     if w2 in dist:
         return dist[w2]
     if complete:
         return INFINITE
-    dist, complete = class_distances(p, w2, b)
+    dist, complete = class_map(w2)
     if w1 in dist:
         return dist[w1]
     if complete:
@@ -219,7 +212,3 @@ def are_equivalent(
         # was not fully enumerated; refuse to certify inequivalence.
         return EquivalenceOutcome(EquivStatus.BUDGET_EXHAUSTED, None, explored)
     return EquivalenceOutcome(EquivStatus.NOT_EQUIVALENT, None, explored)
-
-
-def clear_caches() -> None:
-    _bfs_class.cache_clear()

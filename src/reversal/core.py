@@ -208,6 +208,11 @@ class Presentation:
         return out
 
     @cached_property
+    def mirrored(self) -> Presentation:
+        """`mirror(self)`, built once, with compiled data of its own."""
+        return mirror(self)
+
+    @cached_property
     def automorphisms(self) -> tuple[tuple[int, ...], ...]:
         """Letter maps σ (σ[i] the image of letter i) found by
         `symmetry.find_automorphisms`; unverified, see

@@ -1,5 +1,5 @@
-"""The compiled data of a presentation: its cached hash, tile table and
-rewrite index.
+"""The compiled data of a presentation: its cached hash, tile table,
+rewrite index and mirror.
 
 The indexes must give exactly what a scan over all relations gives, in
 the same order; the scans below are kept as the reference.  The hash and
@@ -113,6 +113,14 @@ def test_mirror_twice_is_equal_with_equal_hash(name):
     assert back == p and hash(back) == hash(p)
 
 
+@pytest.mark.parametrize("name", sorted(catalog_presentations()))
+def test_mirrored_is_the_mirror_built_once(name):
+    p = catalog_presentations()[name]
+    assert p.mirrored == rv.mirror(p)
+    assert p.mirrored is p.mirrored
+    assert p.mirrored.mirrored == p
+
+
 def test_replaced_presentation_compiles_its_own(colored42):
     p = colored42
     hash(p), p.tile_table, p.rewrite_index
@@ -129,11 +137,13 @@ def test_replaced_presentation_compiles_its_own(colored42):
 
 def test_compiled_data_is_not_part_of_the_value(colored42):
     fresh = rv.colored_braid(4, ["a", "b"])
+    compiled = {"_hash", "tile_table", "rewrite_index", "mirrored"}
     hash(colored42), colored42.tile_table, colored42.rewrite_index
+    colored42.mirrored
     assert colored42 == fresh
     assert repr(colored42) == repr(fresh)
-    for name in ("_hash", "tile_table", "rewrite_index"):
+    for name in compiled:
         assert name not in repr(colored42)
     for clone in (copy.copy(colored42), pickle.loads(pickle.dumps(colored42))):
-        assert not {"_hash", "tile_table", "rewrite_index"} & set(vars(clone))
+        assert not compiled & set(vars(clone))
         assert clone == colored42 and hash(clone) == hash(colored42)

@@ -178,7 +178,8 @@ def test_unknown_letter_ids_are_rejected(braid4):
 
 def test_word_distance_reads_either_class_map():
     # Under a tight class budget, a pair that w1's partial class map leaves
-    # open can be decided by w2's; every decided value is exact.
+    # open can be decided by w2's; every decided value is exact, and only
+    # the maps of w1 and w2 are read.
     from reversal.congruence import INFINITE, class_distances, word_distance
 
     tight = rv.Budget(max_class_size=3)
@@ -188,8 +189,15 @@ def test_word_distance_reads_either_class_map():
         for _ in range(300):
             u = rand_word(rng, p, 5)
             v = tuple(rng.sample(u, len(u)))
-            assert word_distance(p, u, u, tight) == 0
-            d = word_distance(p, u, v, tight)
+            read = []
+
+            def class_map(w):
+                read.append(w)
+                return class_distances(p, w, tight)
+
+            assert word_distance(u, u, class_map) == 0 and not read
+            d = word_distance(u, v, class_map)
+            assert read in (([],) if u == v else ([u], [u, v]))
             if d is None:
                 continue
             o = rv.are_equivalent(p, u, v)
@@ -197,3 +205,28 @@ def test_word_distance_reads_either_class_map():
             dist, complete = class_distances(p, u, tight)
             by_second_map += v not in dist and not complete
         assert by_second_map > 0
+
+
+def test_no_class_map_outlives_its_call():
+    # Class maps are computed per call (or per diamond-check run), never
+    # kept by the module: after many class enumerations almost nothing of
+    # them is still allocated.
+    import gc
+    import tracemalloc
+
+    p = rv.colored_braid(4, ["a", "b", "c"])
+    rng = random.Random("class-maps")
+    words = [tuple(rng.randrange(len(p.letters)) for _ in range(10)) for _ in range(300)]
+    rv.check_completeness.cache_clear()
+    p.rewrite_index  # compiled data belongs to the presentation
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for w in words:
+            assert rv.equivalence_class(p, w).explored >= 1
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 1_000_000

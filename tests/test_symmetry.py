@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import reversal as rv
 from conftest import catalog_presentations
 from reversal.completeness import (
+    DiamondContext,
     completeness_to_json,
     diamond_to_json,
     orbits,
@@ -40,11 +41,12 @@ def direct_pairs(p, b=rv.DEFAULT_BUDGET) -> list:
 def scan_matching(p, rep, b) -> tuple:
     """The matching by comparing target distances grid by grid: the first
     grid on the other side at finite distance in both components."""
+    class_map = DiamondContext(p, b).class_map
     out = []
     for g in rep.src_grids:
         found = None
         for j, g2 in enumerate(rep.dst_grids):
-            d = [word_distance(p, x, y, b) for x, y in zip(g.target, g2.target)]
+            d = [word_distance(x, y, class_map) for x, y in zip(g.target, g2.target)]
             if None not in d and INFINITE not in d:
                 found = j
                 break
