@@ -31,9 +31,11 @@ representative's grids through a verified σ, re-sorting them by trace as
 `reverse_enumerate` does, and matching them by the preimages' class keys.
 The re-sort is needed: an image cell may list its tiles in the tile table
 in another order than their keys, so carried grids do not keep their
-order.  An orbit whose representative is inconclusive or meets an
-incomplete class is checked pair by pair.  The automorphisms come from
-`symmetry`.
+order.  When the representative is verified, a carried report holds its
+status at once and builds its grids and matching the first time they are
+read; the verdict reads statuses only.  An orbit whose representative is
+inconclusive or meets an incomplete class is checked pair by pair.  The
+automorphisms come from `symmetry`.
 
 The defect of a complete presentation is the worst, over all triples
 (s, relation, grid), of the best total distance between the outputs of the
@@ -44,7 +46,8 @@ distances.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+import threading
+from dataclasses import dataclass, fields, replace
 from functools import cached_property, lru_cache
 from typing import Sequence
 
@@ -90,6 +93,23 @@ class DiamondReport:
     witness: Grid | None = None
     exhausted: bool = False
     reason: str | None = None
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute not set: see `_Carried`.
+        carried = None if name == "_carried" else getattr(self, "_carried", None)
+        if carried is None or name not in carried.on_read:
+            return object.__getattribute__(self, name)  # set meanwhile, or absent
+        backward = self.direction == RHS_TO_LHS
+        object.__setattr__(self, name, carried.field(name, backward))
+        if None not in carried.sides:  # the rest costs nothing more: drop the record
+            for n in carried.on_read:
+                object.__setattr__(self, n, carried.field(n, backward))
+            vars(self).pop("_carried", None)
+        return object.__getattribute__(self, name)
+
+    def __getstate__(self) -> dict:
+        # The fields in field order, as an eager report pickles and copies.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -161,16 +181,8 @@ def _one_direction(
     else:
         status = DiamondStatus.VERIFIED
     return DiamondReport(
-        s,
-        rel,
-        direction,
-        status,
-        src,
-        dst,
-        tuple(matching),
-        witness=witness,
-        exhausted=witness is not None,
-        reason=reason,
+        s, rel, direction, status, src, dst, tuple(matching),
+        witness=witness, exhausted=witness is not None, reason=reason,
     )
 
 
@@ -197,25 +209,18 @@ def _tile_index(p: Presentation) -> _TileIndex:
     return all_tiles, ranks, by_relation
 
 
+@dataclass(eq=False, repr=False)
 class Symmetry:
     """One verified automorphism σ of p, and how it carries pairs and
     grids.  Carried target words are kept once each in `words`, which the
     symmetries of one run share: many grids have the same targets."""
 
-    def __init__(
-        self,
-        p: Presentation,
-        sigma: Sequence[int],
-        images: tuple[tuple[int, int], ...],
-        tile_index: _TileIndex,
-        words: dict[Word, Word],
-    ) -> None:
-        self.p = p
-        self.sigma = tuple(sigma)
-        # Per relation: (index of its image, 1 if σ maps lhs to its rhs).
-        self.images = images
-        self.tile_index = tile_index
-        self.words = words
+    p: Presentation
+    sigma: tuple[int, ...]
+    # Per relation: (index of its image, 1 if σ maps lhs to its rhs).
+    images: tuple[tuple[int, int], ...]
+    tile_index: _TileIndex
+    words: dict[Word, Word]
 
     def word(self, w: Word) -> Word:
         image = tuple(map(self.sigma.__getitem__, w))
@@ -248,22 +253,19 @@ class Symmetry:
 
     def grids(
         self, grids: tuple[Grid, ...], source: tuple[Word, Word]
-    ) -> list[tuple[Grid, int]]:
-        """The images of `grids`, all from `source`, in trace order, each
-        with the index of its preimage."""
+    ) -> tuple[tuple[Grid, ...], list[int]]:
+        """The images of `grids`, all from `source`, in trace order, and the
+        index of each one's preimage."""
         image_of, rank_of = self.tile_maps
-        tile, word = image_of.__getitem__, self.word
-        letters = self.p.letters
-        carried = []
-        for i, g in enumerate(grids):
-            u1, v1 = g.target
-            target = (word(u1), word(v1))
+        tile, word, rank = image_of.__getitem__, self.word, rank_of.__getitem__
+        order = sorted(
+            range(len(grids)), key=lambda i: tuple(map(rank, map(id, grids[i].cells)))
+        )
+        letters, images = self.p.letters, []
+        for g in map(grids.__getitem__, order):
             cells = tuple(map(tile, map(id, g.cells)))
-            carried.append((Grid(letters, source, target, cells), i))
-        if len(carried) > 1:
-            rank = rank_of.__getitem__
-            carried.sort(key=lambda gi: tuple(map(rank, map(id, grids[gi[1]].cells))))
-        return carried
+            images.append(Grid(letters, source, tuple(map(word, g.target)), cells))
+        return tuple(images), order
 
 
 def symmetries(p: Presentation) -> list[Symmetry]:
@@ -276,7 +278,7 @@ def symmetries(p: Presentation) -> list[Symmetry]:
     for sigma in p.automorphisms:
         images = automorphism_relations(p, sigma)
         if images is not None and tuple(sigma) != identity:
-            verified.append((sigma, images))
+            verified.append((tuple(sigma), images))
     index = _tile_index(p) if verified else None
     words: dict[Word, Word] = {}
     return [Symmetry(p, sigma, images, index, words) for sigma, images in verified]
@@ -305,6 +307,40 @@ def orbits(
     return out
 
 
+class _Carried:
+    """A carried pair: σ and its representative's grids and class keys,
+    sides swapped already where σ swaps them.  The pair's two reports share
+    it and build their grids from it on first read; it holds no class map."""
+
+    __slots__ = ("sym", "s", "rel", "grids", "keys", "sides")
+    on_read = ("src_grids", "dst_grids", "matching")  # the report fields it builds
+    lock = threading.Lock()
+
+    def __init__(self, sym: Symmetry, s: int, rel: Relation, grids: tuple, keys: tuple):
+        self.sym, self.s, self.rel, self.grids, self.keys = sym, s, rel, grids, keys
+        self.sides: list[tuple | None] = [None, None]
+
+    def side(self, k: int) -> tuple[tuple[Grid, ...], tuple[ClassKey, ...]]:
+        """The images of side k's grids (0 lhs, 1 rhs) in trace order, and
+        their keys, each its preimage's; built once."""
+        with self.lock:
+            if self.sides[k] is None:
+                source = ((self.s,), (self.rel.lhs, self.rel.rhs)[k])
+                grids, order = self.sym.grids(self.grids[k], source)
+                self.sides[k] = (grids, tuple(map(self.keys[k].__getitem__, order)))
+                if None not in self.sides:  # σ and the preimages are done with
+                    self.sym = self.grids = self.keys = None
+            return self.sides[k]
+
+    def field(self, name: str, backward: bool) -> tuple:
+        """Field `name` of the lhs->rhs report, or the rhs->lhs one if
+        `backward`.  Matching is by key: a verified pair's grids all have one."""
+        if name != "matching":
+            return self.side(backward ^ (name == "dst_grids"))[0]
+        (_, src_keys), (_, dst_keys) = self.side(backward), self.side(not backward)
+        return tuple(map(dst_keys.index, src_keys))
+
+
 class DiamondContext:
     """What the diamond checks of one run over a presentation share: the
     class maps and class ids, the orbits of (generator, relation) pairs,
@@ -319,8 +355,8 @@ class DiamondContext:
         # incomplete.
         self.class_ids: dict[Word, int | None] = {}
         self.classes = 0
-        # (generator, relation index) of a checked representative -> the
-        # grids of its two sides and their class keys.
+        # (generator, relation index) of a checked representative -> its
+        # two reports and the class keys of its two sides' grids.
         self.representatives: dict[tuple[int, int], tuple] = {}
 
     def class_map(self, w: Word) -> ClassMap:
@@ -372,43 +408,47 @@ class DiamondContext:
 
         σ keeps congruence, so two carried grids have congruent targets
         exactly when their preimages' class keys are equal; each carried
-        grid keeps its preimage's key."""
+        grid keeps its preimage's key.  When the representative is
+        verified, so is the pair, and its reports build their grids and
+        matching on first read."""
         entry = self.orbits.get((s, rel.index))
         data = None if entry is None else self.representatives.get(entry[0])
         if data is None:
             return None
-        (rep, sym), (grids, keys) = entry, data
+        (rep, sym), (reports, keys) = entry, data
+        grids = (reports[0].src_grids, reports[0].dst_grids)
         if sym.pair(rep)[2]:  # σ maps the lhs side onto rel's rhs side
-            grids, keys = grids[::-1], keys[::-1]
-        sides = []
-        for side, side_grids, side_keys in zip((rel.lhs, rel.rhs), grids, keys):
-            carried = sym.grids(side_grids, ((s,), side))
-            sides.append(tuple(g for g, _ in carried))
-            sides.append(tuple(side_keys[i] for _, i in carried))
-        lhs_grids, lhs_keys, rhs_grids, rhs_keys = sides
-        fwd = _one_direction(
-            self, s, rel, LHS_TO_RHS, lhs_grids, rhs_grids, lhs_keys, rhs_keys
-        )
-        bwd = _one_direction(
-            self, s, rel, RHS_TO_LHS, rhs_grids, lhs_grids, rhs_keys, lhs_keys
-        )
-        return fwd, bwd
+            reports, grids, keys = reports[::-1], grids[::-1], keys[::-1]
+        carried = _Carried(sym, s, rel, grids, keys)
+        if any(r.status is not DiamondStatus.VERIFIED for r in reports):
+            grids, keys = zip(carried.side(0), carried.side(1))
+            return (
+                _one_direction(self, s, rel, LHS_TO_RHS, *grids, *keys),
+                _one_direction(self, s, rel, RHS_TO_LHS, *grids[::-1], *keys[::-1]),
+            )
+        out = (object.__new__(DiamondReport), object.__new__(DiamondReport))
+        for report, direction, r in zip(out, (LHS_TO_RHS, RHS_TO_LHS), reports):
+            for name, value in dict(
+                generator=s, relation=rel, direction=direction, status=r.status,
+                witness=None, exhausted=r.exhausted, reason=r.reason, _carried=carried,
+            ).items():
+                object.__setattr__(report, name, value)
+        return out
 
     def record(
         self,
         s: int,
         rel: Relation,
         reports: tuple[DiamondReport, DiamondReport],
-        grids: tuple[tuple[Grid, ...], tuple[Grid, ...]],
         keys: tuple[tuple[ClassKey, ...], tuple[ClassKey, ...]],
     ) -> None:
-        """Keep a checked pair's grids for transport, unless a report is
-        inconclusive or a class map incomplete."""
+        """Keep a checked pair's reports and class keys for transport,
+        unless a report is inconclusive or a class map incomplete."""
         if any(rep.status is DiamondStatus.INCONCLUSIVE for rep in reports):
             return
         if None in keys[0] or None in keys[1]:
             return
-        self.representatives[s, rel.index] = (grids, keys)
+        self.representatives[s, rel.index] = (reports, keys)
 
 
 def check_diamond(
@@ -438,25 +478,16 @@ def check_diamond(
     out_r = reverse_enumerate(p, (s,), rel.rhs, b)
     if not out_l.completed or not out_r.completed:
         fwd = DiamondReport(
-            s,
-            rel,
-            LHS_TO_RHS,
-            DiamondStatus.INCONCLUSIVE,
-            (),
-            (),
-            (),
+            s, rel, LHS_TO_RHS, DiamondStatus.INCONCLUSIVE, (), (), (),
             reason="grid enumeration exceeded the budget",
         )
         return fwd, replace(fwd, direction=RHS_TO_LHS)
     grids = (out_l.grids, out_r.grids)
-    keys = (
-        tuple(map(context.class_key, out_l.grids)),
-        tuple(map(context.class_key, out_r.grids)),
-    )
+    keys = tuple(tuple(map(context.class_key, side)) for side in grids)
     fwd = _one_direction(context, s, rel, LHS_TO_RHS, *grids, *keys)
     bwd = _one_direction(context, s, rel, RHS_TO_LHS, *grids[::-1], *keys[::-1])
-    context.record(s, rel, (fwd, bwd), grids, keys)
-    return (fwd, bwd)
+    context.record(s, rel, (fwd, bwd), keys)
+    return fwd, bwd
 
 
 @lru_cache(maxsize=32)

@@ -19,7 +19,8 @@ relation pairs and its automorphisms (letter permutations that keep
 weights and map the relation set onto itself).  Each is built lazily from
 the presentation alone and never changes; none caches a computed result.
 They are not fields, so equality, `repr`, copies and pickles ignore them,
-and a derived presentation compiles its own.
+and a derived presentation compiles its own, except that `mirrored` and
+its mirror share their automorphisms.
 """
 
 from __future__ import annotations
@@ -209,14 +210,20 @@ class Presentation:
 
     @cached_property
     def mirrored(self) -> Presentation:
-        """`mirror(self)`, built once, with compiled data of its own."""
-        return mirror(self)
+        """`mirror(self)`, built once, whose `mirrored` is self again."""
+        twin = mirror(self)
+        twin.__dict__["mirrored"] = self
+        return twin
 
     @cached_property
     def automorphisms(self) -> tuple[tuple[int, ...], ...]:
         """Letter maps σ (σ[i] the image of letter i) found by
-        `symmetry.find_automorphisms`; unverified, see
-        `symmetry.automorphism_relations`."""
+        `symmetry.find_automorphisms`, or `mirrored`'s if it has them: σ maps
+        the relations onto themselves exactly when it maps the reversed
+        relations onto themselves.  Unverified, see `automorphism_relations`."""
+        twin = self.__dict__.get("mirrored")
+        if twin is not None and "automorphisms" in twin.__dict__:
+            return twin.automorphisms
         # Imported on first use: most runs never need automorphisms, so
         # importing the package does not load that module.
         from .symmetry import find_automorphisms

@@ -18,6 +18,15 @@ def catalog_presentations() -> dict[str, rv.Presentation]:
     }
 
 
+def direct_pairs(p, b=rv.DEFAULT_BUDGET) -> list:
+    """Every pair checked standalone, in `check_completeness` order."""
+    out = []
+    for s in range(len(p.letters)):
+        for rel in p.relations:
+            out += rv.check_diamond(p, s, rel, b)
+    return out
+
+
 def rand_word(rng: random.Random, p: rv.Presentation, max_len: int) -> rv.Word:
     n = rng.randint(0, max_len)
     return tuple(rng.randrange(len(p.letters)) for _ in range(n))

@@ -3,10 +3,11 @@
 `check_completeness` checks one (generator, relation) pair per orbit of
 the presentation's automorphisms and carries the representative's grids
 and reports to the rest of the orbit.  These tests hold the carried
-reports to the direct ones: the automorphism verifier, grid transport
-against enumeration of the image, whole reports against standalone
-`check_diamond` and against matching by distances, random symmetric
-presentations, and a search stopped by its node cap.
+reports to the direct ones: the automorphism verifier, the mirror's reuse
+of the automorphisms, grid transport against enumeration of the image,
+whole reports against standalone `check_diamond` and against matching by
+distances, random symmetric presentations, and a search stopped by its
+node cap.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reversal as rv
-from conftest import catalog_presentations
+from conftest import catalog_presentations, direct_pairs
 from reversal.completeness import (
     DiamondContext,
     completeness_to_json,
@@ -27,15 +28,6 @@ from reversal.completeness import (
 )
 from reversal.congruence import INFINITE, word_distance
 from reversal.symmetry import automorphism_relations, find_automorphisms
-
-
-def direct_pairs(p, b=rv.DEFAULT_BUDGET) -> list:
-    """Every pair checked standalone, in `check_completeness` order."""
-    out = []
-    for s in range(len(p.letters)):
-        for rel in p.relations:
-            out += rv.check_diamond(p, s, rel, b)
-    return out
 
 
 def scan_matching(p, rep, b) -> tuple:
@@ -92,6 +84,21 @@ def test_wrong_maps_handed_in_are_not_used():
     assert_reports_are_direct(p)
 
 
+def test_mirror_reuses_the_automorphisms():
+    cases = dict(catalog_presentations())
+    cases.update(cb4abc=rv.colored_braid(4, ["a", "b", "c"]), b7=rv.braid(7))
+    for name, p in cases.items():
+        maps = p.automorphisms
+        assert p.mirrored.automorphisms is maps, name
+        assert set(maps) == set(find_automorphisms(rv.mirror(p))[0]), name
+        assert all(automorphism_relations(p.mirrored, sigma) for sigma in maps), name
+    # The other way round: a presentation reuses its mirror's maps.
+    p = rv.restricted_colored(4, ["a", "b"])
+    maps = p.mirrored.automorphisms
+    assert p.automorphisms is maps
+    assert set(maps) == set(find_automorphisms(p)[0])
+
+
 def test_transported_grids_equal_enumeration_of_the_image():
     specs = {
         "cb4abc": rv.colored_braid(4, ["a", "b", "c"]),
@@ -118,12 +125,11 @@ def test_transported_grids_equal_enumeration_of_the_image():
                     for rel in p.relations:
                         for side in (rel.lhs, rel.rhs):
                             source = ((sym.sigma[s],), tuple(sym.sigma[x] for x in side))
-                            carried = sym.grids(enumerate_side(s, side), source)
-                            images = tuple(g for g, _ in carried)
+                            preimages = enumerate_side(s, side)
+                            images, order = sym.grids(preimages, source)
                             assert images == enumerate_side(*source[0], source[1]), (
                                 name, sym.sigma, s, rel.index
                             )
-                            order = [i for _, i in carried]
                             reordered += order != sorted(order)
     # Carrying grids does not keep their order, so the re-sort is needed.
     assert reordered > 0
