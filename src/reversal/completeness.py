@@ -31,16 +31,20 @@ representative's grids through a verified σ, re-sorting them by trace as
 `reverse_enumerate` does, and matching them by the preimages' class keys.
 The re-sort is needed: an image cell may list its tiles in the tile table
 in another order than their keys, so carried grids do not keep their
-order.  When the representative is verified, a carried report holds its
-status at once and builds its grids and matching the first time they are
-read; the verdict reads statuses only.  An orbit whose representative is
-inconclusive or meets an incomplete class is checked pair by pair.  The
-automorphisms come from `symmetry`.
+order.  A carried report holds its status at once, and a counterexample
+its witness, found by keys and carried alone; it builds its grids and
+matching the first time they are read, and the verdict reads statuses
+only.  An orbit whose representative is inconclusive or meets an
+incomplete class is checked pair by pair.  The automorphisms come from
+`symmetry`.
 
 The defect of a complete presentation is the worst, over all triples
 (s, relation, grid), of the best total distance between the outputs of the
 grid and of an equivalent grid from the other side, read from the same
-distances.
+distances.  A keyed grid is compared with the grids of its key only.  A
+report carried from a fully keyed representative is skipped: σ keeps
+distances, and the representative's reports come first, so they hold the
+first maximum.  The defect reads no carried grid.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from __future__ import annotations
 import enum
 import threading
 from dataclasses import dataclass, fields, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Sequence
 
 from .congruence import (
@@ -145,10 +149,7 @@ def _one_direction(
     """Match each source grid with the first grid of `dst` whose targets
     are at finite distance: for a keyed source grid, the first with an
     equal key; for one without, by comparing distances."""
-    first: dict[tuple[int, int], int] = {}
-    for j, key in enumerate(dst_keys):
-        if key is not None:
-            first.setdefault(key, j)
+    first = {key: j for j, key in reversed(list(enumerate(dst_keys)))}
     matching: list[int | None] = []
     witness: Grid | None = None
     undecided = False
@@ -251,21 +252,22 @@ class Symmetry:
         index, flip = self.images[rel_index]
         return self.sigma[s], index, flip
 
+    def rank(self, g: Grid) -> tuple[int, ...]:
+        """The ranks of the image's tiles: images sort by it as by trace."""
+        return tuple(map(self.tile_maps[1].__getitem__, map(id, g.cells)))
+
+    def grid(self, g: Grid, source: tuple[Word, Word]) -> Grid:
+        """The image of g, from `source`."""
+        cells = tuple(map(self.tile_maps[0].__getitem__, map(id, g.cells)))
+        return Grid(self.p.letters, source, tuple(map(self.word, g.target)), cells)
+
     def grids(
         self, grids: tuple[Grid, ...], source: tuple[Word, Word]
     ) -> tuple[tuple[Grid, ...], list[int]]:
         """The images of `grids`, all from `source`, in trace order, and the
         index of each one's preimage."""
-        image_of, rank_of = self.tile_maps
-        tile, word, rank = image_of.__getitem__, self.word, rank_of.__getitem__
-        order = sorted(
-            range(len(grids)), key=lambda i: tuple(map(rank, map(id, grids[i].cells)))
-        )
-        letters, images = self.p.letters, []
-        for g in map(grids.__getitem__, order):
-            cells = tuple(map(tile, map(id, g.cells)))
-            images.append(Grid(letters, source, tuple(map(word, g.target)), cells))
-        return tuple(images), order
+        order = sorted(range(len(grids)), key=lambda i: self.rank(grids[i]))
+        return tuple(self.grid(grids[i], source) for i in order), order
 
 
 def symmetries(p: Presentation) -> list[Symmetry]:
@@ -308,37 +310,56 @@ def orbits(
 
 
 class _Carried:
-    """A carried pair: σ and its representative's grids and class keys,
-    sides swapped already where σ swaps them.  The pair's two reports share
-    it and build their grids from it on first read; it holds no class map."""
+    """A carried pair: σ, its representative's grids and class keys (sides
+    swapped already where σ swaps them) and its witnesses.  The pair's two
+    reports share it and build their grids on first read; no class map."""
 
-    __slots__ = ("sym", "s", "rel", "grids", "keys", "sides")
+    __slots__ = ("sym", "s", "rel", "grids", "keys", "known", "sides")
     on_read = ("src_grids", "dst_grids", "matching")  # the report fields it builds
     lock = threading.Lock()
 
     def __init__(self, sym: Symmetry, s: int, rel: Relation, grids: tuple, keys: tuple):
         self.sym, self.s, self.rel, self.grids, self.keys = sym, s, rel, grids, keys
+        self.known: list[tuple[int, Grid] | None] | None = None  # per side
         self.sides: list[tuple | None] = [None, None]
 
+    def witness(self, k: int) -> Grid:
+        """The counterexample from side k (0 lhs, 1 rhs): of the preimages
+        whose key has no equal on the other side, the image first in trace
+        order; carried alone and kept for the side."""
+        grids, others, rank = self.grids[k], set(self.keys[1 - k]), self.sym.rank
+        unmatched = (i for i, key in enumerate(self.keys[k]) if key not in others)
+        i = min(unmatched, key=lambda i: rank(grids[i]))
+        source = ((self.s,), (self.rel.lhs, self.rel.rhs)[k])
+        self.known = self.known or [None, None]
+        self.known[k] = (i, self.sym.grid(grids[i], source))
+        return self.known[k][1]
+
     def side(self, k: int) -> tuple[tuple[Grid, ...], tuple[ClassKey, ...]]:
-        """The images of side k's grids (0 lhs, 1 rhs) in trace order, and
-        their keys, each its preimage's; built once."""
+        """The images of side k's grids in trace order, and their keys, each
+        its preimage's; built once, around the side's witness if it has one."""
         with self.lock:
             if self.sides[k] is None:
+                known = self.known and self.known[k]
                 source = ((self.s,), (self.rel.lhs, self.rel.rhs)[k])
+                if known:  # one source per side: the witness's
+                    source = known[1].source
                 grids, order = self.sym.grids(self.grids[k], source)
+                if known:  # and the witness is the side's grid
+                    grids = tuple(known[1] if i == known[0] else g for i, g in zip(order, grids))
                 self.sides[k] = (grids, tuple(map(self.keys[k].__getitem__, order)))
                 if None not in self.sides:  # σ and the preimages are done with
-                    self.sym = self.grids = self.keys = None
+                    self.sym = self.grids = self.keys = self.known = None
             return self.sides[k]
 
     def field(self, name: str, backward: bool) -> tuple:
         """Field `name` of the lhs->rhs report, or the rhs->lhs one if
-        `backward`.  Matching is by key: a verified pair's grids all have one."""
+        `backward`.  Matching is by key: a recorded pair's grids all have one."""
         if name != "matching":
             return self.side(backward ^ (name == "dst_grids"))[0]
         (_, src_keys), (_, dst_keys) = self.side(backward), self.side(not backward)
-        return tuple(map(dst_keys.index, src_keys))
+        first = {key: j for j, key in reversed(list(enumerate(dst_keys)))}
+        return tuple(map(first.get, src_keys))
 
 
 class DiamondContext:
@@ -408,9 +429,9 @@ class DiamondContext:
 
         σ keeps congruence, so two carried grids have congruent targets
         exactly when their preimages' class keys are equal; each carried
-        grid keeps its preimage's key.  When the representative is
-        verified, so is the pair, and its reports build their grids and
-        matching on first read."""
+        grid keeps its preimage's key.  So the pair's reports hold their
+        representative's statuses and a counterexample's witness at once,
+        and build their grids and matching on first read."""
         entry = self.orbits.get((s, rel.index))
         data = None if entry is None else self.representatives.get(entry[0])
         if data is None:
@@ -420,19 +441,17 @@ class DiamondContext:
         if sym.pair(rep)[2]:  # σ maps the lhs side onto rel's rhs side
             reports, grids, keys = reports[::-1], grids[::-1], keys[::-1]
         carried = _Carried(sym, s, rel, grids, keys)
-        if any(r.status is not DiamondStatus.VERIFIED for r in reports):
-            grids, keys = zip(carried.side(0), carried.side(1))
-            return (
-                _one_direction(self, s, rel, LHS_TO_RHS, *grids, *keys),
-                _one_direction(self, s, rel, RHS_TO_LHS, *grids[::-1], *keys[::-1]),
-            )
         out = (object.__new__(DiamondReport), object.__new__(DiamondReport))
-        for report, direction, r in zip(out, (LHS_TO_RHS, RHS_TO_LHS), reports):
-            for name, value in dict(
-                generator=s, relation=rel, direction=direction, status=r.status,
-                witness=None, exhausted=r.exhausted, reason=r.reason, _carried=carried,
-            ).items():
-                object.__setattr__(report, name, value)
+        put = object.__setattr__
+        for k, (report, r) in enumerate(zip(out, reports)):
+            put(report, "generator", s)
+            put(report, "relation", rel)
+            put(report, "direction", RHS_TO_LHS if k else LHS_TO_RHS)
+            put(report, "status", r.status)
+            put(report, "witness", None if r.witness is None else carried.witness(k))
+            put(report, "exhausted", r.exhausted)
+            put(report, "reason", r.reason)
+            put(report, "_carried", carried)
         return out
 
     def record(
@@ -490,35 +509,32 @@ def check_diamond(
     return fwd, bwd
 
 
-@lru_cache(maxsize=32)
 def check_completeness(
     p: Presentation, b: Budget = DEFAULT_BUDGET
 ) -> CompletenessReport:
     """Run the diamond checker over every (generator, relation) pair and
     aggregate.  Complete additionally requires the noetherianity witness:
-    weight-homogeneity with positive integer weights."""
-    if p.epsilon_relations:
-        return CompletenessReport(
-            Verdict.INCONCLUSIVE,
-            (),
-            noetherian_witness="absent",
-            reason="presentation has ε-relations; reversing does not apply",
+    weight-homogeneity with positive integer weights.  The last 32 reports
+    are cached, one per (presentation, budget), however the budget is
+    passed; `check_completeness.cache_clear()` drops them."""
+    return _check_completeness(p, b)
+
+
+@lru_cache(maxsize=32)
+def _check_completeness(p: Presentation, b: Budget) -> CompletenessReport:
+    if p.epsilon_relations or not p.weight_homogeneous:
+        reason = (
+            "presentation has ε-relations; reversing does not apply"
+            if p.epsilon_relations
+            else "presentation is not weight-homogeneous; no integer "
+            "noetherianity witness"
         )
-    if not p.weight_homogeneous:
-        return CompletenessReport(
-            Verdict.INCONCLUSIVE,
-            (),
-            noetherian_witness="absent",
-            reason="presentation is not weight-homogeneous; no integer "
-            "noetherianity witness",
-        )
+        return CompletenessReport(Verdict.INCONCLUSIVE, (), "absent", reason)
     pairs: list[DiamondReport] = []
     context = DiamondContext(p, b)
     for s in range(len(p.letters)):
         for rel in p.relations:
-            fwd, bwd = check_diamond(p, s, rel, b, context)
-            pairs.append(fwd)
-            pairs.append(bwd)
+            pairs += check_diamond(p, s, rel, b, context)
     statuses = {rep.status for rep in pairs}
     if DiamondStatus.COUNTEREXAMPLE in statuses:
         verdict = Verdict.INCOMPLETE
@@ -531,6 +547,10 @@ def check_completeness(
         "the weighted length witnesses right noetherianity"
     )
     return CompletenessReport(verdict, tuple(pairs), witness_text)
+
+
+check_completeness.cache_clear = _check_completeness.cache_clear  # type: ignore[attr-defined]
+check_completeness.cache_info = _check_completeness.cache_info  # type: ignore[attr-defined]
 
 
 def decide_equiv_by_reversing(
@@ -568,6 +588,36 @@ class DefectResult:
         return self.value is None
 
 
+def _report_defect(
+    context: DiamondContext, rep: DiamondReport
+) -> tuple[DefectWitness | None, bool] | DefectResult:
+    """One report's part of the defect: its first source grid farthest from
+    the other side, with that grid's first nearest partner (None without
+    source grids), and whether the other side's grids are all keyed; or the
+    defect itself, if it ends here.  A keyed grid is compared only with the
+    grids of its key: the others are at infinite distance."""
+    by_key: dict[ClassKey, list[Grid]] = {}
+    for g2 in rep.dst_grids:
+        by_key.setdefault(context.class_key(g2), []).append(g2)
+    where = partial(DefectWitness, rep.generator, rep.relation, rep.direction)
+    best: DefectWitness | None = None
+    for g in rep.src_grids:
+        key = context.class_key(g)
+        dmin: int | float = INFINITE
+        partner: Grid | None = None
+        for g2 in rep.dst_grids if key is None else by_key.get(key, ()):
+            d = context.target_distance(g, g2)
+            if d is None:
+                return DefectResult(None, None)
+            if d < dmin:
+                dmin, partner = d, g2
+        if partner is None:  # contradicts the Complete verdict; report as infinite
+            return DefectResult(INFINITE, where(g, None, INFINITE))
+        if best is None or dmin > best.distance:
+            best = where(g, partner, dmin)
+    return best, None not in by_key
+
+
 def defect(p: Presentation, b: Budget = DEFAULT_BUDGET) -> DefectResult:
     """Max over (generator, relation, grid) of the min distance sum to an
     equivalent grid on the relation's other side; INFINITE when the
@@ -579,39 +629,27 @@ def defect(p: Presentation, b: Budget = DEFAULT_BUDGET) -> DefectResult:
         rep = report.witness
         if rep is None:  # an incomplete verdict always has a counterexample
             raise RuntimeError("incomplete verdict without a counterexample")
-        return DefectResult(
-            INFINITE,
-            DefectWitness(
-                rep.generator, rep.relation, rep.direction, rep.witness, None, INFINITE
-            ),
-        )
-    best_value: int | float = 0
-    best_witness: DefectWitness | None = None
+        where = (rep.generator, rep.relation, rep.direction, rep.witness)
+        return DefectResult(INFINITE, DefectWitness(*where, None, INFINITE))
+    # σ keeps distances, so a report carried from a representative whose
+    # grids all have keys has the value of one of the representative's
+    # reports, which come first: it is skipped, and its grids are not read.
     context = DiamondContext(p, b)
+    keyed: dict[Pair, bool] = {}  # scanned pair -> whether its grids all have keys
+    best: DefectWitness | None = None
     for rep in report.pairs:
-        for g in rep.src_grids:
-            dmin: int | float = INFINITE
-            dmin_grid: Grid | None = None
-            for g2 in rep.dst_grids:
-                d = context.target_distance(g, g2)
-                if d is None:
-                    return DefectResult(None, None)
-                if d < dmin:
-                    dmin, dmin_grid = d, g2
-            if dmin_grid is None:
-                # Contradicts the Complete verdict; report as infinite.
-                return DefectResult(
-                    INFINITE,
-                    DefectWitness(
-                        rep.generator, rep.relation, rep.direction, g, None, INFINITE
-                    ),
-                )
-            if dmin > best_value or best_witness is None:
-                best_value = dmin
-                best_witness = DefectWitness(
-                    rep.generator, rep.relation, rep.direction, g, dmin_grid, dmin
-                )
-    return DefectResult(best_value, best_witness)
+        pair = (rep.generator, rep.relation.index)
+        origin = context.orbits.get(pair, (pair,))[0]
+        if origin != pair and keyed[origin]:
+            continue
+        scan = _report_defect(context, rep)
+        if isinstance(scan, DefectResult):
+            return scan
+        found, all_keyed = scan
+        keyed[pair] = keyed.get(pair, True) and all_keyed
+        if found is not None and (best is None or found.distance > best.distance):
+            best = found
+    return DefectResult(0 if best is None else best.distance, best)
 
 
 # ---------------------------------------------------------------------------

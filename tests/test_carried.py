@@ -1,12 +1,13 @@
 """Carried diamond reports, built on read.
 
 Within `check_completeness`, a pair whose orbit representative was
-verified gets reports that hold their status at once and build their
-grids and matching the first time something reads them.  These tests hold
-such reports to the reports of standalone `check_diamond`, whatever reads
-them first (equality, hashing, `repr`, pickles, copies, `dataclasses`,
-JSON or several threads at once), and check that a verdict carries no
-grid and that a cached report stays small.
+recorded gets reports that hold their status (and a counterexample's
+witness) at once and build their grids and matching the first time
+something reads them.  These tests hold such reports to the reports of
+standalone `check_diamond`, whatever reads them first (equality, hashing,
+`repr`, pickles, copies, `dataclasses`, JSON or several threads at once),
+and check that a verdict carries no grid beyond the witnesses and that a
+cached report stays small.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from reversal.completeness import (
 
 SPECS = {
     "cb4abc": lambda: rv.colored_braid(4, ["a", "b", "c"]),
+    "rc4abc": lambda: rv.restricted_colored(4, ["a", "b", "c"]),
     "rc5abc": lambda: rv.restricted_colored(5, ["a", "b", "c"]),
     "b7": lambda: rv.braid(7),
 }
@@ -66,15 +68,15 @@ READS = {
 }
 
 
-@pytest.mark.parametrize("mirrored", [False, True])
-@pytest.mark.parametrize("name", sorted(SPECS))
-def test_carried_reports_read_like_standalone_ones(name, mirrored):
-    p = SPECS[name]()
-    p = p.mirrored if mirrored else p
-    # Up to 24 carried reports, spread over the run, each against its
-    # standalone twin.
+def assert_read_like_standalone(p, status=None) -> None:
+    """Up to 24 carried reports (of `status`, if given), spread over the
+    run, each against its standalone twin."""
     pairs = fresh_pairs(p)
-    carried = [i for i, rep in enumerate(pairs) if "_carried" in vars(rep)]
+    carried = [
+        i for i, rep in enumerate(pairs)
+        if "_carried" in vars(rep) and status in (None, rep.status)
+    ]
+    assert carried
     sample = carried[:: max(1, len(carried) // 24)][:24]
     direct = {}
     for i in sample:
@@ -87,6 +89,9 @@ def test_carried_reports_read_like_standalone_ones(name, mirrored):
         assert got == [read(p, direct[i]) for i in sample], read_name
         if read_name in ("copy", "deepcopy", "replace", "unpickled"):
             assert not any("_carried" in vars(rep) for rep in got)
+        for i in sample:  # a witness is its report's own source grid
+            rep = pairs[i]
+            assert rep.witness is None or any(g is rep.witness for g in rep.src_grids)
     # A report pickles its fields in field order, read or not: a fresh
     # carried report gives the bytes of an eager report with its values.
     # (Carried grids share their target words, so the bytes may differ
@@ -95,6 +100,20 @@ def test_carried_reports_read_like_standalone_ones(name, mirrored):
     unread = [pickle.dumps(pairs[i]) for i in sample]
     pairs = fresh_pairs(p)
     assert unread == [pickle.dumps(as_eager(pairs[i])) for i in sample]
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+@pytest.mark.parametrize("name", ["cb4abc", "rc5abc", "b7"])
+def test_carried_reports_read_like_standalone_ones(name, mirrored):
+    p = SPECS[name]()
+    assert_read_like_standalone(p.mirrored if mirrored else p)
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+@pytest.mark.parametrize("name", ["rc4abc", "rc5abc"])
+def test_carried_counterexamples_read_like_standalone_ones(name, mirrored):
+    p = SPECS[name]()
+    assert_read_like_standalone(p.mirrored if mirrored else p, DiamondStatus.COUNTEREXAMPLE)
 
 
 def test_carried_counterexamples_have_their_witness():
@@ -162,6 +181,29 @@ def test_verdicts_carry_no_grids(monkeypatch):
     carried = [rep for rep in rv.check_completeness(p).pairs if "_carried" in vars(rep)]
     carried[0].src_grids
     assert len(calls) == 1
+
+
+def test_verdicts_carry_only_the_witnesses(monkeypatch):
+    # Each carried counterexample report carries its witness grid alone;
+    # before, the verdict of rc5abc carried all 1,056 grids of their pairs.
+    calls = []
+    carry = Symmetry.grid
+
+    def counted(self, g, source):
+        calls.append(source)
+        return carry(self, g, source)
+
+    monkeypatch.setattr(Symmetry, "grid", counted)
+    p = SPECS["rc5abc"]()
+    rv.check_completeness.cache_clear()
+    assert rv.check_left_cancellative(p).status.value == "not-by-this-criterion"
+    pairs = rv.check_completeness(p).pairs
+    bad = [
+        rep for rep in pairs
+        if "_carried" in vars(rep) and rep.status is DiamondStatus.COUNTEREXAMPLE
+    ]
+    assert 0 < len(calls) <= len(bad)
+    assert all(rep.witness.source is source for rep, source in zip(bad, calls))
 
 
 def test_a_cached_report_holds_little_memory():

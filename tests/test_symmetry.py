@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import reversal as rv
 from conftest import catalog_presentations, direct_pairs
+from strategies import symmetric_presentations
 from reversal.completeness import (
     DiamondContext,
     completeness_to_json,
@@ -148,28 +149,6 @@ def test_check_completeness_equals_standalone_diamonds():
         assert_reports_are_direct(rv.restricted_colored(4, ["a", "b"]), b)
     # Inconclusive representatives.
     assert_reports_are_direct(rv.colored_braid(4, ["a", "b"]), rv.Budget(max_cells=3))
-
-
-@st.composite
-def symmetric_presentations(draw) -> rv.Presentation:
-    """Homogeneous presentations on 2-4 letters with unit weights, closed
-    under a random letter permutation, so that most have automorphisms."""
-    n = draw(st.integers(2, 4))
-    letters = [f"x{i}" for i in range(n)]
-    perm = draw(st.permutations(range(n)))
-    side = st.integers(1, 3).flatmap(
-        lambda k: st.tuples(
-            st.lists(st.integers(0, n - 1), min_size=k, max_size=k),
-            st.lists(st.integers(0, n - 1), min_size=k, max_size=k),
-        )
-    )
-    rels = draw(st.lists(side, min_size=1, max_size=4))
-    closed = []
-    for lhs, rhs in rels:
-        for _ in range(n):
-            closed.append(([letters[i] for i in lhs], [letters[i] for i in rhs]))
-            lhs, rhs = [perm[i] for i in lhs], [perm[i] for i in rhs]
-    return rv.make_presentation(letters, closed)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
