@@ -21,21 +21,8 @@ targets' classes.  A grid with an incomplete class is compared by
 distances, grid by grid.  A run's `DiamondContext` computes each word's
 class map once and drops them all when the run ends.
 
-A run over all pairs checks one pair per symmetry orbit.  An automorphism
-σ of the presentation (a weight-preserving letter permutation mapping the
-relation set onto itself) maps the grids from (s, w) one-to-one onto the
-grids from (σs, σw) and keeps congruence, so it maps the diamond reports
-of a pair onto those of its image.  The first pair of each orbit is
-checked; every other pair gets its reports by carrying the
-representative's grids through a verified σ, re-sorting them by trace as
-`reverse_enumerate` does, and matching them by the preimages' class keys.
-The re-sort is needed: an image cell may list its tiles in the tile table
-in another order than their keys, so carried grids do not keep their
-order.  A carried report holds its status at once, and a counterexample
-its witness, found by keys and carried alone; it builds its grids and
-matching the first time they are read, and the verdict reads statuses
-only.  An orbit whose representative is inconclusive or meets an
-incomplete class is checked pair by pair.  The automorphisms come from
+A run over all pairs checks one pair per orbit of the presentation's
+automorphisms and carries its reports to the rest of the orbit: see
 `symmetry`.
 
 The defect of a complete presentation is the worst, over all triples
@@ -50,7 +37,6 @@ first maximum.  The defect reads no carried grid.
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass, fields, replace
 from functools import cached_property, lru_cache, partial
 from typing import Sequence
@@ -63,8 +49,9 @@ from .congruence import (
     class_distances,
     word_distance,
 )
-from .core import Presentation, Relation, Tile, Word
-from .grids import Grid, reverse_enumerate, reverse_targets, tiles
+from .core import Presentation, Relation, Word
+from .grids import Grid, reverse_enumerate, reverse_targets
+from .symmetry import ClassKey, Pair, Symmetry, _Carried, first_index
 
 LHS_TO_RHS = "lhs->rhs"
 RHS_TO_LHS = "rhs->lhs"
@@ -131,11 +118,6 @@ class CompletenessReport:
         return None
 
 
-# A grid's class key: the ids of its two targets' classes, or None when a
-# target's class map is incomplete.
-ClassKey = tuple[int, int] | None
-
-
 def _one_direction(
     context: DiamondContext,
     s: int,
@@ -149,7 +131,7 @@ def _one_direction(
     """Match each source grid with the first grid of `dst` whose targets
     are at finite distance: for a keyed source grid, the first with an
     equal key; for one without, by comparing distances."""
-    first = {key: j for j, key in reversed(list(enumerate(dst_keys)))}
+    first = first_index(dst_keys)
     matching: list[int | None] = []
     witness: Grid | None = None
     undecided = False
@@ -187,186 +169,11 @@ def _one_direction(
     )
 
 
-Pair = tuple[int, int]  # (generator, relation index)
-
-
-_TileIndex = tuple[list[Tile], dict[int, int], dict[tuple[int, int], Tile]]
-
-
-def _tile_index(p: Presentation) -> _TileIndex:
-    """Every tile a grid of p can hold (the tile table and the forced
-    tiles of ε cells); each one's rank by `Tile.key`, by id, so that tuples
-    of ranks sort as `Grid.trace_key` does; and the relation tiles by
-    (relation index, orientation)."""
-    all_tiles = [t for ts in p.tile_table.values() for t in ts]
-    all_tiles += tiles(p, None, None)
-    for x in range(len(p.letters)):
-        all_tiles += tiles(p, x, None) + tiles(p, None, x)
-    ranked = sorted(all_tiles, key=Tile.key)
-    ranks = {id(t): r for r, t in enumerate(ranked)}
-    by_relation = {
-        (t.rel_index, t.orientation): t for t in all_tiles if t.rel_index is not None
-    }
-    return all_tiles, ranks, by_relation
-
-
-@dataclass(eq=False, repr=False)
-class Symmetry:
-    """One verified automorphism σ of p, and how it carries pairs and
-    grids.  Carried target words are kept once each in `words`, which the
-    symmetries of one run share: many grids have the same targets."""
-
-    p: Presentation
-    sigma: tuple[int, ...]
-    # Per relation: (index of its image, 1 if σ maps lhs to its rhs).
-    images: tuple[tuple[int, int], ...]
-    tile_index: _TileIndex
-    words: dict[Word, Word]
-
-    def word(self, w: Word) -> Word:
-        image = tuple(map(self.sigma.__getitem__, w))
-        return self.words.setdefault(image, image)
-
-    @cached_property
-    def tile_maps(self) -> tuple[dict[int, Tile], dict[int, int]]:
-        """id of each tile of p -> its image, and -> its image's rank."""
-        p, sigma = self.p, self.sigma
-        all_tiles, ranks, by_relation = self.tile_index
-        image_of: dict[int, Tile] = {}
-        for t in all_tiles:
-            if t.rel_index is not None:
-                index, flip = self.images[t.rel_index]
-                image = by_relation[index, t.orientation ^ flip]
-            else:  # a cancellation or forced tile, the only one of its cell
-                left = None if t.left is None else sigma[t.left]
-                top = None if t.top is None else sigma[t.top]
-                image = tiles(p, left, top)[0]
-            image_of[id(t)] = image
-        rank_of = {i: ranks[id(image)] for i, image in image_of.items()}
-        return image_of, rank_of
-
-    def pair(self, pair: Pair) -> tuple[int, int, int]:
-        """The image (generator, relation index) of `pair`, and 1 when σ
-        maps the relation's lhs onto the image's rhs."""
-        s, rel_index = pair
-        index, flip = self.images[rel_index]
-        return self.sigma[s], index, flip
-
-    def rank(self, g: Grid) -> tuple[int, ...]:
-        """The ranks of the image's tiles: images sort by it as by trace."""
-        return tuple(map(self.tile_maps[1].__getitem__, map(id, g.cells)))
-
-    def grid(self, g: Grid, source: tuple[Word, Word]) -> Grid:
-        """The image of g, from `source`."""
-        cells = tuple(map(self.tile_maps[0].__getitem__, map(id, g.cells)))
-        return Grid(self.p.letters, source, tuple(map(self.word, g.target)), cells)
-
-    def grids(
-        self, grids: tuple[Grid, ...], source: tuple[Word, Word]
-    ) -> tuple[tuple[Grid, ...], list[int]]:
-        """The images of `grids`, all from `source`, in trace order, and the
-        index of each one's preimage."""
-        order = sorted(range(len(grids)), key=lambda i: self.rank(grids[i]))
-        return tuple(self.grid(grids[i], source) for i in order), order
-
-
-def symmetries(p: Presentation) -> list[Symmetry]:
-    """The automorphisms of p other than the identity that pass the
-    verifier, sharing one store of carried words."""
-    from .symmetry import automorphism_relations  # see Presentation.automorphisms
-
-    identity = tuple(range(len(p.letters)))
-    verified = []
-    for sigma in p.automorphisms:
-        images = automorphism_relations(p, sigma)
-        if images is not None and tuple(sigma) != identity:
-            verified.append((tuple(sigma), images))
-    index = _tile_index(p) if verified else None
-    words: dict[Word, Word] = {}
-    return [Symmetry(p, sigma, images, index, words) for sigma, images in verified]
-
-
-def orbits(
-    p: Presentation, syms: Sequence[Symmetry]
-) -> dict[Pair, tuple[Pair, Symmetry]]:
-    """(generator, relation index) -> (its representative, a symmetry
-    mapping the representative onto it), for every pair that is not a
-    representative.  A representative is the first pair of its orbit in
-    checking order: by generator, then relation."""
-    out: dict[Pair, tuple[Pair, Symmetry]] = {}
-    seen: set[Pair] = set()
-    for s in range(len(p.letters)):
-        for rel in p.relations:
-            rep = (s, rel.index)
-            if rep in seen:
-                continue
-            seen.add(rep)
-            for sym in syms:
-                image = sym.pair(rep)[:2]
-                if image not in seen:
-                    seen.add(image)
-                    out[image] = (rep, sym)
-    return out
-
-
-class _Carried:
-    """A carried pair: σ, its representative's grids and class keys (sides
-    swapped already where σ swaps them) and its witnesses.  The pair's two
-    reports share it and build their grids on first read; no class map."""
-
-    __slots__ = ("sym", "s", "rel", "grids", "keys", "known", "sides")
-    on_read = ("src_grids", "dst_grids", "matching")  # the report fields it builds
-    lock = threading.Lock()
-
-    def __init__(self, sym: Symmetry, s: int, rel: Relation, grids: tuple, keys: tuple):
-        self.sym, self.s, self.rel, self.grids, self.keys = sym, s, rel, grids, keys
-        self.known: list[tuple[int, Grid] | None] | None = None  # per side
-        self.sides: list[tuple | None] = [None, None]
-
-    def witness(self, k: int) -> Grid:
-        """The counterexample from side k (0 lhs, 1 rhs): of the preimages
-        whose key has no equal on the other side, the image first in trace
-        order; carried alone and kept for the side."""
-        grids, others, rank = self.grids[k], set(self.keys[1 - k]), self.sym.rank
-        unmatched = (i for i, key in enumerate(self.keys[k]) if key not in others)
-        i = min(unmatched, key=lambda i: rank(grids[i]))
-        source = ((self.s,), (self.rel.lhs, self.rel.rhs)[k])
-        self.known = self.known or [None, None]
-        self.known[k] = (i, self.sym.grid(grids[i], source))
-        return self.known[k][1]
-
-    def side(self, k: int) -> tuple[tuple[Grid, ...], tuple[ClassKey, ...]]:
-        """The images of side k's grids in trace order, and their keys, each
-        its preimage's; built once, around the side's witness if it has one."""
-        with self.lock:
-            if self.sides[k] is None:
-                known = self.known and self.known[k]
-                source = ((self.s,), (self.rel.lhs, self.rel.rhs)[k])
-                if known:  # one source per side: the witness's
-                    source = known[1].source
-                grids, order = self.sym.grids(self.grids[k], source)
-                if known:  # and the witness is the side's grid
-                    grids = tuple(known[1] if i == known[0] else g for i, g in zip(order, grids))
-                self.sides[k] = (grids, tuple(map(self.keys[k].__getitem__, order)))
-                if None not in self.sides:  # σ and the preimages are done with
-                    self.sym = self.grids = self.keys = self.known = None
-            return self.sides[k]
-
-    def field(self, name: str, backward: bool) -> tuple:
-        """Field `name` of the lhs->rhs report, or the rhs->lhs one if
-        `backward`.  Matching is by key: a recorded pair's grids all have one."""
-        if name != "matching":
-            return self.side(backward ^ (name == "dst_grids"))[0]
-        (_, src_keys), (_, dst_keys) = self.side(backward), self.side(not backward)
-        first = {key: j for j, key in reversed(list(enumerate(dst_keys)))}
-        return tuple(map(first.get, src_keys))
-
-
 class DiamondContext:
     """What the diamond checks of one run over a presentation share: the
-    class maps and class ids, the orbits of (generator, relation) pairs,
-    and the grids of the representatives checked so far.  It lives as long
-    as the run, and no class map outlives it."""
+    class maps and class ids, the symmetries that carry reports along
+    orbits, and the grids of the representatives checked so far.  It
+    lives as long as the run, and no class map outlives it."""
 
     def __init__(self, p: Presentation, b: Budget) -> None:
         self.p = p
@@ -378,7 +185,7 @@ class DiamondContext:
         self.classes = 0
         # (generator, relation index) of a checked representative -> its
         # two reports and the class keys of its two sides' grids.
-        self.representatives: dict[tuple[int, int], tuple] = {}
+        self.representatives: dict[Pair, tuple] = {}
 
     def class_map(self, w: Word) -> ClassMap:
         entry = self.class_maps.get(w)
@@ -416,10 +223,8 @@ class DiamondContext:
         return None if second is None else (first, second)
 
     @cached_property
-    def orbits(self) -> dict[Pair, tuple[Pair, Symmetry]]:
-        """Every pair that is not its orbit's representative -> (the
-        representative, a verified symmetry mapping it onto the pair)."""
-        return orbits(self.p, symmetries(self.p))
+    def symmetries(self) -> list[Symmetry]:
+        return Symmetry.of_run(self.p)
 
     def transported(
         self, s: int, rel: Relation
@@ -432,13 +237,14 @@ class DiamondContext:
         grid keeps its preimage's key.  So the pair's reports hold their
         representative's statuses and a counterexample's witness at once,
         and build their grids and matching on first read."""
-        entry = self.orbits.get((s, rel.index))
+        entry = self.p.orbits[1].get((s, rel.index))
         data = None if entry is None else self.representatives.get(entry[0])
         if data is None:
             return None
-        (rep, sym), (reports, keys) = entry, data
+        (rep, i), (reports, keys) = entry, data
+        sym = self.symmetries[i]
         grids = (reports[0].src_grids, reports[0].dst_grids)
-        if sym.pair(rep)[2]:  # σ maps the lhs side onto rel's rhs side
+        if sym.images[rep[1]][1]:  # σ maps the lhs side onto rel's rhs side
             reports, grids, keys = reports[::-1], grids[::-1], keys[::-1]
         carried = _Carried(sym, s, rel, grids, keys)
         out = (object.__new__(DiamondReport), object.__new__(DiamondReport))
@@ -639,7 +445,7 @@ def defect(p: Presentation, b: Budget = DEFAULT_BUDGET) -> DefectResult:
     best: DefectWitness | None = None
     for rep in report.pairs:
         pair = (rep.generator, rep.relation.index)
-        origin = context.orbits.get(pair, (pair,))[0]
+        origin = p.orbits[1].get(pair, (pair,))[0]
         if origin != pair and keyed[origin]:
             continue
         scan = _report_defect(context, rep)

@@ -15,12 +15,12 @@ supports.
 A presentation compiles what the algorithms look up over and over: its
 hash, its tile table (the tiles of each letter/letter grid cell), its
 rewrite index (the oriented relations with distinct sides), its oriented
-relation pairs and its automorphisms (letter permutations that keep
-weights and map the relation set onto itself).  Each is built lazily from
-the presentation alone and never changes; none caches a computed result.
-They are not fields, so equality, `repr`, copies and pickles ignore them,
-and a derived presentation compiles its own, except that `mirrored` and
-its mirror share their automorphisms.
+relation pairs, its mirror and its orbit table (its verified automorphisms
+and the orbits of (generator, relation) pairs under them, see `symmetry`).
+Each is built lazily from the presentation alone and never changes; none
+caches a computed result.  They are not fields, so equality, `repr`,
+copies and pickles ignore them, and a derived presentation compiles its
+own, except that `mirrored` and its mirror share their orbit table.
 """
 
 from __future__ import annotations
@@ -216,19 +216,17 @@ class Presentation:
         return twin
 
     @cached_property
-    def automorphisms(self) -> tuple[tuple[int, ...], ...]:
-        """Letter maps σ (σ[i] the image of letter i) found by
-        `symmetry.find_automorphisms`, or `mirrored`'s if it has them: σ maps
-        the relations onto themselves exactly when it maps the reversed
-        relations onto themselves.  Unverified, see `automorphism_relations`."""
+    def orbits(self) -> tuple:
+        """The verified automorphisms and the orbit table of (generator,
+        relation) pairs, from `symmetry.orbits`, or `mirrored`'s if it has
+        them: σ maps a relation onto an image exactly when it maps the
+        reversed relation onto the reversed image."""
         twin = self.__dict__.get("mirrored")
-        if twin is not None and "automorphisms" in twin.__dict__:
-            return twin.automorphisms
-        # Imported on first use: most runs never need automorphisms, so
-        # importing the package does not load that module.
-        from .symmetry import find_automorphisms
+        if twin is not None and "orbits" in twin.__dict__:
+            return twin.orbits
+        from .symmetry import orbits  # symmetry imports this module
 
-        return find_automorphisms(self)[0]
+        return orbits(self)
 
     def letter(self, token: str) -> int:
         try:

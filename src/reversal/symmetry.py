@@ -1,24 +1,42 @@
-"""Automorphisms of a presentation: the search and the verifier.
+"""Automorphisms of a presentation, the orbits of its (generator,
+relation) pairs, and the transport of diamond reports along them.
 
 An automorphism σ of a presentation is a permutation of its letters that
 keeps weights and maps the relation set onto itself, each relation
-possibly with its sides swapped.  It is a monoid automorphism, so it keeps
-congruence, and it maps the grids from (s, w) one-to-one onto the grids
-from (σs, σw), tile by tile; `check_completeness` uses this to check one
-(generator, relation) pair per orbit.  `find_automorphisms` searches for
-σ, and `automorphism_relations` is the verifier that every σ passes
-before use.
+possibly with its sides swapped.  It keeps congruence and maps the grids
+from (s, w) one-to-one onto those from (σs, σw), tile by tile, so it maps
+the diamond reports of a pair onto those of its image.
+`find_automorphisms` searches for σ; `orbits` keeps each σ that passes the
+verifier, `automorphism_relations`, and returns plain ints, once per
+presentation (`Presentation.orbits`, shared with the mirror).
 
-Both read a presentation's fields and return plain tuples of ints.  The
-package imports this module on first use only, so importing the package
-does not compile it.
+`check_completeness` checks the first pair of each orbit.  Every other
+pair gets its reports by carrying the representative's grids through σ
+(`Symmetry`), re-sorting them by trace as `reverse_enumerate` does (an
+image cell may list its tiles in another order than their keys), and
+matching them by the preimages' class keys.  A carried report holds its
+status at once, and a counterexample its witness, found by keys and
+carried alone; it builds its grids and matching the first time they are
+read (`_Carried`).  An orbit whose representative is inconclusive or
+meets an incomplete class is checked pair by pair.
 """
 
 from __future__ import annotations
 
+import threading
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
-from .core import Presentation, Word
+from .core import Presentation, Relation, Tile, Word
+from .grids import Grid, tiles
+
+Pair = tuple[int, int]  # (generator, relation index)
+# Per relation: (index of its image, 1 if σ maps lhs to the image's rhs).
+Images = tuple[tuple[int, int], ...]
+# A grid's class key: the ids of its two targets' classes, or None when a
+# target's class map is incomplete.
+ClassKey = tuple[int, int] | None
 
 # Letter assignments the automorphism search may try before it stops.  A
 # stopped search returns the automorphisms found so far: fewer symmetries
@@ -107,9 +125,7 @@ def find_automorphisms(p: Presentation) -> tuple[tuple[tuple[int, ...], ...], bo
     return tuple(found), True
 
 
-def automorphism_relations(
-    p: Presentation, sigma: Sequence[int]
-) -> tuple[tuple[int, int], ...] | None:
+def automorphism_relations(p: Presentation, sigma: Sequence[int]) -> Images | None:
     """The verifier: None unless `sigma` (sigma[i] the image of letter i)
     is a weight-preserving bijection of the letters that maps the relation
     set onto itself.  Otherwise, for each relation, its image as (relation
@@ -133,3 +149,166 @@ def automorphism_relations(
     if len({index for index, _ in images}) != len(images):
         return None
     return tuple(images)
+
+
+def orbits(p: Presentation) -> tuple[tuple[tuple[tuple[int, ...], Images], ...], dict]:
+    """The automorphisms of p other than the identity that pass the
+    verifier, each with its relation images, in the order found; and
+    (generator, relation index) -> (its representative, the index of a σ
+    mapping the representative onto it), for every pair that is not a
+    representative.  A representative is the first pair of its orbit in
+    checking order: by generator, then relation."""
+    identity = tuple(range(len(p.letters)))
+    syms = []
+    for sigma in find_automorphisms(p)[0]:
+        images = None if sigma == identity else automorphism_relations(p, sigma)
+        if images is not None:
+            syms.append((sigma, images))
+    table: dict[Pair, tuple[Pair, int]] = {}
+    seen: set[Pair] = set()
+    for rep in [(s, rel.index) for s in range(len(p.letters)) for rel in p.relations]:
+        if rep in seen:
+            continue
+        seen.add(rep)
+        for k, (sigma, images) in enumerate(syms):
+            image = (sigma[rep[0]], images[rep[1]][0])
+            if image not in seen:
+                seen.add(image)
+                table[image] = (rep, k)
+    return tuple(syms), table
+
+
+def first_index(keys: Sequence[ClassKey]) -> dict[ClassKey, int]:
+    """Each key -> the index of its first occurrence in `keys`."""
+    return {key: j for j, key in reversed(list(enumerate(keys)))}
+
+
+_TileIndex = tuple[list[Tile], dict[int, int], dict[tuple[int, int], Tile]]
+
+
+def _tile_index(p: Presentation) -> _TileIndex:
+    """Every tile a grid of p can hold (the tile table and the forced
+    tiles of ε cells); each one's rank by `Tile.key`, by id, so that tuples
+    of ranks sort as `Grid.trace_key` does; and the relation tiles by
+    (relation index, orientation)."""
+    all_tiles = [t for ts in p.tile_table.values() for t in ts]
+    all_tiles += tiles(p, None, None)
+    for x in range(len(p.letters)):
+        all_tiles += tiles(p, x, None) + tiles(p, None, x)
+    ranked = sorted(all_tiles, key=Tile.key)
+    ranks = {id(t): r for r, t in enumerate(ranked)}
+    by_relation = {
+        (t.rel_index, t.orientation): t for t in all_tiles if t.rel_index is not None
+    }
+    return all_tiles, ranks, by_relation
+
+
+@dataclass(eq=False, repr=False)
+class Symmetry:
+    """One verified automorphism σ of p, and how it carries grids within
+    one run.  Carried target words are kept once each in `words`, which the
+    symmetries of one run share: many grids have the same targets."""
+
+    p: Presentation
+    sigma: tuple[int, ...]
+    images: Images
+    tile_index: _TileIndex
+    words: dict[Word, Word]
+
+    @classmethod
+    def of_run(cls, p: Presentation) -> list[Symmetry]:
+        """One per verified σ of `p.orbits`, sharing one tile index and one
+        store of carried words."""
+        index, words = _tile_index(p), {}
+        return [cls(p, sigma, images, index, words) for sigma, images in p.orbits[0]]
+
+    def word(self, w: Word) -> Word:
+        image = tuple(map(self.sigma.__getitem__, w))
+        return self.words.setdefault(image, image)
+
+    @cached_property
+    def tile_maps(self) -> tuple[dict[int, Tile], dict[int, int]]:
+        """id of each tile of p -> its image, and -> its image's rank."""
+        p, sigma = self.p, self.sigma
+        all_tiles, ranks, by_relation = self.tile_index
+        image_of: dict[int, Tile] = {}
+        for t in all_tiles:
+            if t.rel_index is not None:
+                index, flip = self.images[t.rel_index]
+                image = by_relation[index, t.orientation ^ flip]
+            else:  # a cancellation or forced tile, the only one of its cell
+                left = None if t.left is None else sigma[t.left]
+                top = None if t.top is None else sigma[t.top]
+                image = tiles(p, left, top)[0]
+            image_of[id(t)] = image
+        rank_of = {i: ranks[id(image)] for i, image in image_of.items()}
+        return image_of, rank_of
+
+    def rank(self, g: Grid) -> tuple[int, ...]:
+        """The ranks of the image's tiles: images sort by it as by trace."""
+        return tuple(map(self.tile_maps[1].__getitem__, map(id, g.cells)))
+
+    def grid(self, g: Grid, source: tuple[Word, Word]) -> Grid:
+        """The image of g, from `source`."""
+        cells = tuple(map(self.tile_maps[0].__getitem__, map(id, g.cells)))
+        return Grid(self.p.letters, source, tuple(map(self.word, g.target)), cells)
+
+    def grids(
+        self, grids: tuple[Grid, ...], source: tuple[Word, Word]
+    ) -> tuple[tuple[Grid, ...], list[int]]:
+        """The images of `grids`, all from `source`, in trace order, and the
+        index of each one's preimage."""
+        order = sorted(range(len(grids)), key=lambda i: self.rank(grids[i]))
+        return tuple(self.grid(grids[i], source) for i in order), order
+
+
+class _Carried:
+    """A carried pair: σ, its representative's grids and class keys (sides
+    swapped already where σ swaps them) and its witnesses.  The pair's two
+    reports share it and build their grids on first read; no class map."""
+
+    __slots__ = ("sym", "s", "rel", "grids", "keys", "known", "sides")
+    on_read = ("src_grids", "dst_grids", "matching")  # the report fields it builds
+    lock = threading.Lock()
+
+    def __init__(self, sym: Symmetry, s: int, rel: Relation, grids: tuple, keys: tuple):
+        self.sym, self.s, self.rel, self.grids, self.keys = sym, s, rel, grids, keys
+        self.known: list[tuple[int, Grid] | None] | None = None  # per side
+        self.sides: list[tuple | None] = [None, None]
+
+    def witness(self, k: int) -> Grid:
+        """The counterexample from side k (0 lhs, 1 rhs): of the preimages
+        whose key has no equal on the other side, the image first in trace
+        order; carried alone and kept for the side."""
+        grids, others, rank = self.grids[k], set(self.keys[1 - k]), self.sym.rank
+        unmatched = (i for i, key in enumerate(self.keys[k]) if key not in others)
+        i = min(unmatched, key=lambda i: rank(grids[i]))
+        source = ((self.s,), (self.rel.lhs, self.rel.rhs)[k])
+        self.known = self.known or [None, None]
+        self.known[k] = (i, self.sym.grid(grids[i], source))
+        return self.known[k][1]
+
+    def side(self, k: int) -> tuple[tuple[Grid, ...], tuple[ClassKey, ...]]:
+        """The images of side k's grids in trace order, and their keys, each
+        its preimage's; built once, around the side's witness if it has one."""
+        with self.lock:
+            if self.sides[k] is None:
+                known = self.known and self.known[k]
+                source = ((self.s,), (self.rel.lhs, self.rel.rhs)[k])
+                if known:  # one source per side: the witness's
+                    source = known[1].source
+                grids, order = self.sym.grids(self.grids[k], source)
+                if known:  # and the witness is the side's grid
+                    grids = tuple(known[1] if i == known[0] else g for i, g in zip(order, grids))
+                self.sides[k] = (grids, tuple(map(self.keys[k].__getitem__, order)))
+                if None not in self.sides:  # σ and the preimages are done with
+                    self.sym = self.grids = self.keys = self.known = None
+            return self.sides[k]
+
+    def field(self, name: str, backward: bool) -> tuple:
+        """Field `name` of the lhs->rhs report, or the rhs->lhs one if
+        `backward`.  Matching is by key: a recorded pair's grids all have one."""
+        if name != "matching":
+            return self.side(backward ^ (name == "dst_grids"))[0]
+        (_, src_keys), (_, dst_keys) = self.side(backward), self.side(not backward)
+        return tuple(map(first_index(dst_keys).get, src_keys))

@@ -25,15 +25,8 @@ import pytest
 
 import reversal as rv
 from conftest import direct_pairs
-from reversal.completeness import (
-    DiamondReport,
-    DiamondStatus,
-    Symmetry,
-    Verdict,
-    diamond_to_json,
-    orbits,
-    symmetries,
-)
+from reversal.completeness import DiamondReport, DiamondStatus, Verdict, diamond_to_json
+from reversal.symmetry import Symmetry
 
 SPECS = {
     "cb4abc": lambda: rv.colored_braid(4, ["a", "b", "c"]),
@@ -118,7 +111,7 @@ def test_carried_counterexamples_read_like_standalone_ones(name, mirrored):
 
 def test_carried_counterexamples_have_their_witness():
     p = rv.restricted_colored(4, ["a", "b", "c"])
-    carried = orbits(p, symmetries(p))
+    carried = p.orbits[1]
     report = rv.check_completeness(p)
     assert report.verdict is Verdict.INCOMPLETE
     direct = direct_pairs(p)
@@ -210,7 +203,7 @@ def test_a_cached_report_holds_little_memory():
     # The cached report of colored_braid(4,{a,b,c}) held 1.7 MB when every
     # carried report kept its own grids.
     p = SPECS["cb4abc"]()
-    p.tile_table, p.rewrite_index, p.automorphisms  # compiled data belongs to p
+    p.tile_table, p.rewrite_index, p.orbits  # compiled data belongs to p
     rv.check_completeness.cache_clear()
     gc.collect()
     tracemalloc.start()

@@ -3,11 +3,11 @@
 `check_completeness` checks one (generator, relation) pair per orbit of
 the presentation's automorphisms and carries the representative's grids
 and reports to the rest of the orbit.  These tests hold the carried
-reports to the direct ones: the automorphism verifier, the mirror's reuse
-of the automorphisms, grid transport against enumeration of the image,
-whole reports against standalone `check_diamond` and against matching by
-distances, random symmetric presentations, and a search stopped by its
-node cap.
+reports to the direct ones: the automorphism verifier, one search and
+one verification per presentation and its mirror, grid transport against
+enumeration of the image, whole reports against standalone `check_diamond`
+and against matching by distances, random symmetric presentations, and a
+search stopped by its node cap.
 """
 
 from __future__ import annotations
@@ -20,15 +20,17 @@ from hypothesis import strategies as st
 import reversal as rv
 from conftest import catalog_presentations, direct_pairs
 from strategies import symmetric_presentations
+from reversal import symmetry
 from reversal.completeness import (
+    RHS_TO_LHS,
     DiamondContext,
+    DiamondStatus,
+    Verdict,
     completeness_to_json,
     diamond_to_json,
-    orbits,
-    symmetries,
 )
 from reversal.congruence import INFINITE, word_distance
-from reversal.symmetry import automorphism_relations, find_automorphisms
+from reversal.symmetry import Symmetry, automorphism_relations, find_automorphisms
 
 
 def scan_matching(p, rep, b) -> tuple:
@@ -75,13 +77,18 @@ def test_verifier_rejects_wrong_maps():
     assert automorphism_relations(b4, (1, 0, 2)) is None
 
 
-def test_wrong_maps_handed_in_are_not_used():
+def non_identity(maps) -> list:
+    return [sigma for sigma in maps if sigma != tuple(range(len(sigma)))]
+
+
+def test_wrong_maps_handed_in_are_not_used(monkeypatch):
     p = rv.colored_braid(3, ["a", "b"])
+    maps = find_automorphisms(p)[0]
     wrong = ((0, 0, 2, 3), (1, 0, 2, 3), (0, 1, 2))
-    p.__dict__["automorphisms"] = wrong + p.automorphisms
-    syms = symmetries(p)
-    assert all(automorphism_relations(p, sym.sigma) for sym in syms)
-    assert len(syms) == len(find_automorphisms(p)[0]) - 1
+    monkeypatch.setattr(symmetry, "find_automorphisms", lambda q: (wrong + maps, True))
+    syms = p.orbits[0]
+    assert all(automorphism_relations(p, sigma) == images for sigma, images in syms)
+    assert [sigma for sigma, _ in syms] == non_identity(maps)
     assert_reports_are_direct(p)
 
 
@@ -89,15 +96,49 @@ def test_mirror_reuses_the_automorphisms():
     cases = dict(catalog_presentations())
     cases.update(cb4abc=rv.colored_braid(4, ["a", "b", "c"]), b7=rv.braid(7))
     for name, p in cases.items():
-        maps = p.automorphisms
-        assert p.mirrored.automorphisms is maps, name
-        assert set(maps) == set(find_automorphisms(rv.mirror(p))[0]), name
-        assert all(automorphism_relations(p.mirrored, sigma) for sigma in maps), name
-    # The other way round: a presentation reuses its mirror's maps.
+        orbits = p.orbits
+        assert p.mirrored.orbits is orbits, name
+        syms = orbits[0]
+        assert set(non_identity(find_automorphisms(rv.mirror(p))[0])) == {
+            sigma for sigma, _ in syms
+        }, name
+        for sigma, images in syms:  # the mirror's verifier gives the same images
+            assert automorphism_relations(p.mirrored, sigma) == images, name
+    # The other way round: a presentation reuses its mirror's table.
     p = rv.restricted_colored(4, ["a", "b"])
-    maps = p.mirrored.automorphisms
-    assert p.automorphisms is maps
-    assert set(maps) == set(find_automorphisms(p)[0])
+    orbits = p.mirrored.orbits
+    assert p.orbits is orbits
+    assert set(non_identity(find_automorphisms(p)[0])) == {sigma for sigma, _ in orbits[0]}
+    for sigma, images in orbits[0]:
+        assert automorphism_relations(p, sigma) == images
+
+
+def test_one_search_and_one_verification_per_presentation(monkeypatch):
+    # Each completeness run builds its own carriers; the defect builds none.
+    searched, verified, indexed = [], [], []
+    search, verify, index = find_automorphisms, automorphism_relations, symmetry._tile_index
+
+    def counted_search(p):
+        searched.append(p)
+        return search(p)
+
+    def counted_verify(p, sigma):
+        verified.append(sigma)
+        return verify(p, sigma)
+
+    monkeypatch.setattr(symmetry, "find_automorphisms", counted_search)
+    monkeypatch.setattr(symmetry, "automorphism_relations", counted_verify)
+    monkeypatch.setattr(symmetry, "_tile_index", lambda p: indexed.append(p) or index(p))
+    p = rv.colored_braid(4, ["a", "b"])
+    rv.check_completeness.cache_clear()
+    assert rv.check_completeness(p).verdict is Verdict.COMPLETE
+    rv.defect(p)
+    rv.check_right_cancellative(p)  # reads the mirror's completeness
+    rv.check_completeness.cache_clear()
+    rv.check_completeness(p)
+    assert searched == [p]
+    assert verified == non_identity(search(p)[0]) and verified
+    assert indexed == [p, p.mirrored, p]
 
 
 def test_transported_grids_equal_enumeration_of_the_image():
@@ -112,7 +153,7 @@ def test_transported_grids_equal_enumeration_of_the_image():
         for p in (base, rv.mirror(base)):
             maps, exhaustive = find_automorphisms(p)
             assert exhaustive and len(maps) > 1, name
-            syms = symmetries(p)
+            syms = Symmetry.of_run(p)
             assert len(syms) == len(maps) - 1, name
             grids = {}
 
@@ -167,16 +208,16 @@ def test_node_cap_stops_the_search_and_keeps_the_reports():
     maps, exhaustive = find_automorphisms(p)
     assert not exhaustive
     assert all(automorphism_relations(p, sigma) is not None for sigma in maps)
-    assert orbits(p, symmetries(p))  # some pairs are still carried over
+    assert p.orbits[1]  # some pairs are still carried over
     assert_reports_are_direct(p)
     assert_reports_are_direct(rv.mirror(p))
 
 
 def test_first_import_keeps_working_after_a_second_import():
     """A process may import the package again under the same names, as the
-    benchmark's set-up does.  The first import's modules must keep working,
-    imports made on first use included: the automorphism search is loaded
-    from whichever import is current, so it may hand back plain data only."""
+    benchmark's set-up does.  The first import's modules must keep working:
+    the orbit table is built by whichever import is current, so it holds
+    plain ints only, and the transport comes with the first import."""
     import importlib
     import sys
 
@@ -187,14 +228,32 @@ def test_first_import_keeps_working_after_a_second_import():
             if name == "reversal" or name.startswith("reversal.")
         }
 
+    def cb42_mirror():
+        return rv.mirror(rv.colored_braid(4, ["a", "b"]))
+
+    rv.check_completeness.cache_clear()
+    want = rv.defect(cb42_mirror())
     first = package()
     try:
         for name in first:
             del sys.modules[name]
         importlib.import_module("reversal")
         importlib.import_module("reversal.symmetry")
-        p = rv.mirror(rv.colored_braid(4, ["a", "b"]))  # of the first import
+        p = cb42_mirror()  # of the first import
+        q = rv.restricted_colored(4, ["a", "b"]).mirrored
         assert_reports_are_direct(p)
+        rv.check_completeness.cache_clear()
+        assert rv.defect(p) == want
+        # Witnesses of carried counterexamples, read first.
+        bad = [
+            rep for rep in rv.check_completeness(q).pairs
+            if "_carried" in vars(rep) and rep.status is DiamondStatus.COUNTEREXAMPLE
+        ]
+        assert bad
+        for rep in bad:
+            direct = rv.check_diamond(q, rep.generator, rep.relation)
+            assert rep.witness == direct[rep.direction == RHS_TO_LHS].witness
+            assert type(rep.witness) is rv.Grid and rv.check_grid(q, rep.witness).ok
     finally:
         for name in package():
             del sys.modules[name]
