@@ -134,8 +134,8 @@ def right_lcm(
     """Deterministic reversing in a complemented complete presentation:
     the target (u1, v1), when it exists, makes u·v1 a right lcm.
 
-    The target comes from the target search, which finds at most one here
-    and stops at the first stuck cell; `b.max_cells` bounds its reversing
+    The target comes from the target search's single-target loop, which
+    stops at the first stuck cell; `b.max_cells` bounds its reversing
     steps, so ε and pass cells cost nothing."""
     if not is_right_complemented(p):
         raise PresentationError("right_lcm requires a right-complemented presentation")

@@ -13,10 +13,11 @@ presented monoid; that is the only noetherianity witness this package
 supports.
 
 A presentation compiles what the algorithms look up over and over: its
-hash, its tile table (the tiles of each letter/letter grid cell), its
-rewrite index (the oriented relations with distinct sides), its oriented
-relation pairs, its mirror and its orbit table (its verified automorphisms
-and the orbits of (generator, relation) pairs under them, see `symmetry`).
+hash, its tile table (the tiles of each letter/letter grid cell) and
+whether it is deterministic (no cell has two tiles), its rewrite index
+(the oriented relations with distinct sides), its oriented relation
+pairs, its mirror and its orbit table (its verified automorphisms and
+the orbits of (generator, relation) pairs under them, see `symmetry`).
 Each is built lazily from the presentation alone and never changes; none
 caches a computed result.  They are not fields, so equality, `repr`,
 copies and pickles ignore them, and a derived presentation compiles its
@@ -185,6 +186,12 @@ class Presentation:
                         )
                     )
         return {pair: tuple(ts) for pair, ts in table.items()}
+
+    @cached_property
+    def deterministic(self) -> bool:
+        """Whether no letter/letter cell has two tiles; without ε-relations,
+        whether the presentation is right complemented."""
+        return all(len(ts) == 1 for ts in self.tile_table.values())
 
     @cached_property
     def rewrite_index(self) -> tuple[tuple[str, int, Word], ...]:

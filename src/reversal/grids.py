@@ -258,8 +258,13 @@ def reverse_complemented(
 # subproblems, computes the set of targets while sharing repeated ones; ε
 # segments can be dropped here because pass tiles never change the words.
 # Sharing sub-blocks across branches is what a grid filler must not do, so
-# this search has its own loop: each subproblem is a generator on an
-# explicit stack, which yields the word pairs whose targets it needs.
+# this search has loops of its own.  `_single_targets` runs when no cell has
+# two tiles (`Presentation.deterministic`, as in braid monoids): subproblems
+# have at most one target, and open ones are tuple frames on one list.
+# `_target_sets` runs otherwise, with a generator per open subproblem.  Both
+# keep one memo on the same keys, visit the corner, then the block to its
+# right, then the block below, count a step before each tile, and cut
+# (unmemoized) a subproblem met inside itself, so their results agree.
 #
 # Words are hash-consed: id 0 is ε, and id i > 0 is the word whose first
 # letter is heads[i] and whose remainder has id tails[i].  A suffix is a
@@ -292,8 +297,13 @@ def reverse_targets(
     first of these that fired.  `explored` is the number of steps taken.
     """
     _require_reversible(p, u, v)
-    heads: list[int] = [-1]
-    tails: list[int] = [0]
+    search = _single_targets if p.deterministic and b.max_grids >= 1 else _target_sets
+    return search(p, u, v, b)
+
+
+def _words() -> tuple[list[int], list[int], Callable, Callable]:
+    """A new hash-consed word store: (heads, tails, prepend, spell)."""
+    heads, tails = [-1], [0]
     interned: dict[tuple[int, int], int] = {}
 
     def prepend(w: Word, i: int) -> int:
@@ -315,6 +325,17 @@ def reverse_targets(
             i = tails[i]
         return tuple(out)
 
+    return heads, tails, prepend, spell
+
+
+def _found(spell: Callable, targets, stuck: set, steps: int, cut) -> TargetSearch:
+    pairs = frozenset((spell(a), spell(c)) for a, c in targets)
+    return TargetSearch(pairs, cut is None, frozenset(stuck), steps, cut)
+
+
+def _target_sets(p: Presentation, u: Word, v: Word, b: Budget) -> TargetSearch:
+    """`reverse_targets` on any presentation."""
+    heads, tails, prepend, spell = _words()
     done: dict[tuple[int, int], frozenset[tuple[int, int]]] = {}
     active: set[tuple[int, int]] = set()
     stuck: set[tuple[int, int]] = set()
@@ -369,13 +390,65 @@ def reverse_targets(
                 active.discard(closed)
                 result = done[closed] = stop.value
         else:
-            return TargetSearch(
-                frozenset((spell(a), spell(c)) for a, c in result),
-                cut is None,
-                frozenset(stuck),
-                explored=steps,
-                cut=cut,
-            )
+            return _found(spell, result, stuck, steps, cut)
+
+
+_NEW, _OPEN = object(), object()  # memo marks: not met yet, still open
+
+
+def _single_targets(p: Presentation, u: Word, v: Word, b: Budget) -> TargetSearch:
+    """`reverse_targets` when every cell has at most one tile.
+
+    A subproblem's result is None or its one target (u1, v1), as word ids,
+    so max_grids, at least 1 here, never cuts it.  An open subproblem is a
+    frame: (key, tile) waits for the block right of its corner, (key,
+    tile, a1) for the block below."""
+    heads, tails, prepend, spell = _words()
+    table = p.tile_table
+    memo: dict = {}  # key -> None, its target, or _OPEN
+    stuck: set[tuple[int, int]] = set()
+    steps, cut = 0, None
+    frames: list[tuple] = []  # innermost last
+    key = (prepend(u, 0), prepend(v, 0))
+    while True:
+        result = memo.get(key, _NEW)
+        if result is _OPEN:
+            cut = cut or "cycle"
+            result = None
+        elif result is _NEW:
+            uu, vv = key
+            if not uu or not vv:
+                result = memo[key] = key
+            else:
+                options = table.get((heads[uu], heads[vv]))
+                if options is None:
+                    stuck.add((heads[uu], heads[vv]))
+                else:
+                    steps += 1
+                    if steps <= b.max_cells:
+                        memo[key] = _OPEN
+                        frames.append((key, options[0]))
+                        key = (prepend(options[0].right, 0), tails[vv])
+                        continue
+                    cut = cut or "max_cells"
+                result = memo[key] = None
+        # Hand the result to the innermost frame, closing those it
+        # completes, until one asks for its block below.
+        while frames:
+            frame = frames.pop()
+            if len(frame) == 3:  # back from the block below
+                if result is not None:
+                    result = (prepend(spell(frame[2]), result[0]), result[1])
+                memo[frame[0]] = result
+            elif result is None:  # no target right of the corner
+                memo[frame[0]] = None
+            else:
+                (uu, _), tile = frame
+                frames.append((frame[0], tile, result[0]))
+                key = (tails[uu], prepend(tile.bottom, result[1]))
+                break
+        else:
+            return _found(spell, () if result is None else (result,), stuck, steps, cut)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """The compiled data of a presentation: its cached hash, tile table,
-rewrite index, mirror and orbit table.
+deterministic flag, rewrite index, mirror and orbit table.
 
 The indexes must give exactly what a scan over all relations gives, in
 the same order; the scans below are kept as the reference.  The hash and
@@ -137,9 +137,11 @@ def test_replaced_presentation_compiles_its_own(colored42):
 
 def test_compiled_data_is_not_part_of_the_value(colored42):
     fresh = rv.colored_braid(4, ["a", "b"])
-    compiled = {"_hash", "tile_table", "rewrite_index", "mirrored", "orbits"}
+    compiled = {
+        "_hash", "tile_table", "deterministic", "rewrite_index", "mirrored", "orbits"
+    }
     hash(colored42), colored42.tile_table, colored42.rewrite_index
-    colored42.mirrored, colored42.orbits
+    colored42.deterministic, colored42.mirrored, colored42.orbits
     assert colored42 == fresh
     assert repr(colored42) == repr(fresh)
     for name in compiled:

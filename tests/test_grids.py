@@ -7,10 +7,17 @@ import tracemalloc
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reversal as rv
 from conftest import catalog_presentations, rand_word
+from strategies import artin_presentations, symmetric_presentations
+from reversal import grids
 from reversal.cancellativity import MultipleKind
+from reversal.catalog import CATALOG, build
+from reversal.completeness import Verdict
+from reversal.core import is_right_complemented
 from reversal.grids import ReversalStatus, TileKind
 
 
@@ -426,6 +433,11 @@ def test_reverse_targets_names_the_limit_that_cut_it():
         cb3, cb3.word("s1.a"), cb3.word("s2.b"), rv.Budget(max_grids=1)
     )
     assert not search.complete and search.cut == "max_grids"
+    # A cap below one target cuts a search without branching too.
+    search = rv.reverse_targets(
+        b4, b4.word("s1"), b4.word("s2"), rv.Budget(max_grids=0.5)
+    )
+    assert not search.complete and search.cut == "max_grids"
     # Not homogeneous: the subproblem (a, b a) comes back inside itself.
     p = rv.make_presentation(["a", "b"], [("a b", "b b a")])
     search = rv.reverse_targets(p, p.word("a"), p.word("b a"))
@@ -495,6 +507,107 @@ def test_reverse_targets_matches_tuple_memo_reference():
                 assert search.stuck == stuck, (u, v)
                 assert search.explored == explored, (u, v)
     assert compared == 300
+
+
+def test_deterministic_is_compiled_for_right_complemented_presentations():
+    assert rv.braid(4).deterministic
+    assert not rv.colored_braid(4, ["a", "b"]).deterministic
+    catalog = list(catalog_presentations().values()) + [
+        build(name, n, colors)
+        for name in CATALOG
+        for n in (3, 5)
+        for colors in (["a"], ["a", "b", "c"])
+    ]
+    for p in catalog:
+        for q in (p, p.mirrored):
+            assert q.deterministic == is_right_complemented(q), q.letters
+
+
+def single_loop_cases(p, u, v):
+    """Budgets around where the generator loop's search on (u, v) ends."""
+    explored = grids._target_sets(p, u, v, rv.DEFAULT_BUDGET).explored
+    return [
+        rv.DEFAULT_BUDGET,
+        rv.Budget(max_cells=1),
+        rv.Budget(max_cells=max(1, explored // 2)),
+        rv.Budget(max_cells=max(1, explored - 1)),
+        rv.Budget(max_grids=1),
+    ]
+
+
+def assert_loops_agree(p, u, v, b) -> grids.TargetSearch:
+    general = grids._target_sets(p, u, v, b)
+    single = grids._single_targets(p, u, v, b)
+    assert single == general, (p.letters, u, v, b)
+    assert rv.reverse_targets(p, u, v, b) == single
+    return single
+
+
+def test_single_target_loop_equals_the_generator_loop():
+    cyclic = rv.make_presentation(["a", "b"], [("a b", "b b a")])
+    a, ba = cyclic.word("a"), cyclic.word("b a")
+    assert assert_loops_agree(cyclic, a, ba, rv.DEFAULT_BUDGET).cut == "cycle"
+    cuts, compared = Counter(), 0
+    for p in [rv.braid(n) for n in (3, 4, 5, 6)] + [cyclic]:
+        assert p.deterministic
+        rng = random.Random(f"single-loop:{p.letters}")
+        for _ in range(250):
+            u, v = rand_word(rng, p, 10), rand_word(rng, p, 10)
+            for b in single_loop_cases(p, u, v):
+                cuts[assert_loops_agree(p, u, v, b).cut] += 1
+                compared += 1
+    assert compared == 6_250
+    assert cuts[None] and cuts["max_cells"] and cuts["cycle"]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(artin_presentations(), st.randoms(use_true_random=False))
+def test_single_target_loop_equals_the_generator_loop_on_artin_presentations(p, rng):
+    assert p.deterministic
+    for _ in range(12):
+        u, v = rand_word(rng, p, 8), rand_word(rng, p, 8)
+        for b in single_loop_cases(p, u, v):
+            assert_loops_agree(p, u, v, b)
+
+
+LOW_BUDGETS = st.builds(
+    rv.Budget, max_cells=st.integers(1, 12), max_grids=st.integers(1, 3)
+)
+
+
+@pytest.mark.parametrize("loop", ["single", "sets"])
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(LOW_BUDGETS, st.integers(0, 400), st.integers(0, 3), st.data())
+def test_raising_the_target_search_budget_never_flips_an_answer(
+    loop, low, more_cells, more_grids, data
+):
+    # "sets" runs the generator loop on every presentation, so both loops
+    # see the deterministic ones.
+    if loop == "single":
+        p = data.draw(artin_presentations())
+    else:
+        p = data.draw(st.one_of(symmetric_presentations(), artin_presentations()))
+    high = rv.Budget(
+        max_cells=low.max_cells + more_cells, max_grids=low.max_grids + more_grids
+    )
+    word = st.lists(st.integers(0, len(p.letters) - 1), max_size=6).map(tuple)
+    u, v = data.draw(word), data.draw(word)
+    complemented = is_right_complemented(p) and (
+        rv.check_completeness(p).verdict is Verdict.COMPLETE
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        if loop == "sets":
+            mp.setattr(grids, "_single_targets", grids._target_sets)
+        searches = [rv.reverse_targets(p, u, v, b) for b in (low, high)]
+        answers = [rv.decide_equiv_by_reversing(p, u, v, b) for b in (low, high)]
+        lcms = [rv.right_lcm(p, u, v, b) for b in (low, high)] if complemented else []
+    if searches[0].complete:
+        assert searches[1] == searches[0]
+    if answers[0] is False:
+        assert answers[1] is False
+    assert None in answers or answers[0] == answers[1]
+    if lcms and lcms[0].kind is not MultipleKind.INCONCLUSIVE:
+        assert lcms[1] == lcms[0]
 
 
 # ---------------------------------------------------------------------------
