@@ -36,7 +36,8 @@ class Budget:
     the reversing steps (tile applications) of a target search, which is
     what `right_lcm`, `common_right_multiple` and
     `decide_equiv_by_reversing` run.  `max_grids` bounds the complete
-    grids, or the targets of one subproblem."""
+    grids, or the targets of one subproblem.  Each limit is a count, a
+    positive `int`; anything else raises ValueError."""
 
     max_class_size: int = 100_000
     max_cells: int = 10_000
@@ -45,7 +46,10 @@ class Budget:
 
     def __post_init__(self) -> None:
         for name in ("max_class_size", "max_cells", "max_grids", "max_word_weight"):
-            if getattr(self, name) <= 0:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, not {type(value).__name__}")
+            if value <= 0:
                 raise ValueError(f"{name} must be positive")
 
 

@@ -268,9 +268,14 @@ def reverse_complemented(
 #
 # Words are hash-consed: id 0 is ε, and id i > 0 is the word whose first
 # letter is heads[i] and whose remainder has id tails[i].  A suffix is a
-# tail pointer and a subproblem key a pair of ints, so a step costs the
-# letters it prepends (a tile's outputs, and a1 in a1·u1), not the length
-# of the words; tuples are built only for the targets returned.
+# tail pointer and a subproblem key a pair of ints.  The u-side word of a
+# key is a suffix of u or of a tile's right output, and its v-side word a
+# suffix of v or a tile's bottom output followed by a v-side target, so a
+# u-side output a1·u1 never becomes part of a key.  `_single_targets`
+# therefore keeps v-side words hash-consed for the memo, but joins u-side
+# outputs as ropes in O(1) and spells them once, for the target it
+# returns.  `_target_sets` hash-conses both sides, because its target sets
+# need canonical ids to deduplicate and count toward max_grids.
 # ---------------------------------------------------------------------------
 
 
@@ -297,19 +302,20 @@ def reverse_targets(
     first of these that fired.  `explored` is the number of steps taken.
     """
     _require_reversible(p, u, v)
-    search = _single_targets if p.deterministic and b.max_grids >= 1 else _target_sets
+    search = _single_targets if p.deterministic else _target_sets
     return search(p, u, v, b)
 
 
-def _words() -> tuple[list[int], list[int], Callable, Callable]:
-    """A new hash-consed word store: (heads, tails, prepend, spell)."""
+def _words(n: int) -> tuple[list[int], list[int], Callable, Callable]:
+    """A new hash-consed word store over n letters: (heads, tails, prepend,
+    spell)."""
     heads, tails = [-1], [0]
-    interned: dict[tuple[int, int], int] = {}
+    interned: dict[int, int] = {}  # i * n + letter -> id of letter·(word i)
 
     def prepend(w: Word, i: int) -> int:
         """The id of the word w followed by the word with id i."""
         for letter in reversed(w):
-            node = (letter, i)
+            node = i * n + letter
             j = interned.get(node)
             if j is None:
                 j = interned[node] = len(heads)
@@ -328,14 +334,9 @@ def _words() -> tuple[list[int], list[int], Callable, Callable]:
     return heads, tails, prepend, spell
 
 
-def _found(spell: Callable, targets, stuck: set, steps: int, cut) -> TargetSearch:
-    pairs = frozenset((spell(a), spell(c)) for a, c in targets)
-    return TargetSearch(pairs, cut is None, frozenset(stuck), steps, cut)
-
-
 def _target_sets(p: Presentation, u: Word, v: Word, b: Budget) -> TargetSearch:
     """`reverse_targets` on any presentation."""
-    heads, tails, prepend, spell = _words()
+    heads, tails, prepend, spell = _words(len(p.letters))
     done: dict[tuple[int, int], frozenset[tuple[int, int]]] = {}
     active: set[tuple[int, int]] = set()
     stuck: set[tuple[int, int]] = set()
@@ -390,7 +391,8 @@ def _target_sets(p: Presentation, u: Word, v: Word, b: Budget) -> TargetSearch:
                 active.discard(closed)
                 result = done[closed] = stop.value
         else:
-            return _found(spell, result, stuck, steps, cut)
+            pairs = frozenset((spell(a), spell(c)) for a, c in result)
+            return TargetSearch(pairs, cut is None, frozenset(stuck), steps, cut)
 
 
 _NEW, _OPEN = object(), object()  # memo marks: not met yet, still open
@@ -399,12 +401,15 @@ _NEW, _OPEN = object(), object()  # memo marks: not met yet, still open
 def _single_targets(p: Presentation, u: Word, v: Word, b: Budget) -> TargetSearch:
     """`reverse_targets` when every cell has at most one tile.
 
-    A subproblem's result is None or its one target (u1, v1), as word ids,
-    so max_grids, at least 1 here, never cuts it.  An open subproblem is a
-    frame: (key, tile) waits for the block right of its corner, (key,
-    tile, a1) for the block below."""
-    heads, tails, prepend, spell = _words()
+    A subproblem's result is None or its one target (u1, v1), so max_grids,
+    at least 1, never cuts it.  v1 is a word id; u1 is a rope: a word id,
+    or a pair (left rope, right rope) of two nonempty ropes.  An open
+    subproblem is a frame: (key, tile) waits for the block right of its
+    corner, (key, tile, a1) for the block below."""
+    heads, tails, prepend, spell = _words(len(p.letters))
     table = p.tile_table
+    # (s, t) -> (its tile, id of the tile's right output), or None: stuck.
+    cells: dict[tuple[int, int], tuple[Tile, int] | None] = {}
     memo: dict = {}  # key -> None, its target, or _OPEN
     stuck: set[tuple[int, int]] = set()
     steps, cut = 0, None
@@ -420,15 +425,21 @@ def _single_targets(p: Presentation, u: Word, v: Word, b: Budget) -> TargetSearc
             if not uu or not vv:
                 result = memo[key] = key
             else:
-                options = table.get((heads[uu], heads[vv]))
-                if options is None:
-                    stuck.add((heads[uu], heads[vv]))
+                pair = (heads[uu], heads[vv])
+                cell = cells.get(pair, _NEW)
+                if cell is _NEW:
+                    options = table.get(pair)
+                    if options is not None:
+                        options = (options[0], prepend(options[0].right, 0))
+                    cell = cells[pair] = options
+                if cell is None:
+                    stuck.add(pair)
                 else:
                     steps += 1
                     if steps <= b.max_cells:
                         memo[key] = _OPEN
-                        frames.append((key, options[0]))
-                        key = (prepend(options[0].right, 0), tails[vv])
+                        frames.append((key, cell[0]))
+                        key = (cell[1], tails[vv])
                         continue
                     cut = cut or "max_cells"
                 result = memo[key] = None
@@ -438,7 +449,8 @@ def _single_targets(p: Presentation, u: Word, v: Word, b: Budget) -> TargetSearc
             frame = frames.pop()
             if len(frame) == 3:  # back from the block below
                 if result is not None:
-                    result = (prepend(spell(frame[2]), result[0]), result[1])
+                    a1, u1 = frame[2], result[0]
+                    result = ((a1, u1) if a1 and u1 else a1 or u1), result[1]
                 memo[frame[0]] = result
             elif result is None:  # no target right of the corner
                 memo[frame[0]] = None
@@ -448,7 +460,23 @@ def _single_targets(p: Presentation, u: Word, v: Word, b: Budget) -> TargetSearc
                 key = (tails[uu], prepend(tile.bottom, result[1]))
                 break
         else:
-            return _found(spell, () if result is None else (result,), stuck, steps, cut)
+            pairs = frozenset()
+            if result is not None:
+                pairs = frozenset({(_unrope(spell, result[0]), spell(result[1]))})
+            return TargetSearch(pairs, cut is None, frozenset(stuck), steps, cut)
+
+
+def _unrope(spell: Callable, rope) -> Word:
+    """The word a rope spells, walked without recursion."""
+    out: list[int] = []
+    todo = [rope]
+    while todo:
+        node = todo.pop()
+        if type(node) is tuple:
+            todo += node[1], node[0]
+        else:
+            out += spell(node)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reversal as rv
 from conftest import rand_word
@@ -13,6 +17,7 @@ from reversal.completeness import (
     completeness_to_json,
 )
 from reversal.congruence import EquivStatus, INFINITE
+from strategies import artin_presentations, symmetric_presentations
 
 
 def find_relation(p: rv.Presentation, lhs: str, rhs: str) -> rv.Relation:
@@ -246,3 +251,32 @@ def test_matching_and_defect_agree_with_bidirectional_oracle():
         for g in rep.src_grids
     )
     assert rv.defect(p).value == expected
+
+
+LOW_BUDGETS = st.fixed_dictionaries(
+    {
+        "max_class_size": st.integers(1, 12),
+        "max_cells": st.integers(1, 30),
+        "max_grids": st.integers(1, 6),
+        "max_word_weight": st.integers(1, 6),
+    }
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(symmetric_presentations(), artin_presentations()),
+    LOW_BUDGETS,
+    st.dictionaries(
+        st.sampled_from([f.name for f in dataclasses.fields(rv.Budget)]),
+        st.integers(1, 100),
+        min_size=1,
+    ),
+)
+def test_raising_any_budget_never_flips_a_completeness_verdict(p, low, more):
+    tight = rv.Budget(**low)
+    loose = dataclasses.replace(tight, **{k: low[k] + d for k, d in more.items()})
+    for q in (p, p.mirrored):
+        verdict = rv.check_completeness(q, tight).verdict
+        if verdict is not Verdict.INCONCLUSIVE:
+            assert rv.check_completeness(q, loose).verdict is verdict

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reversal as rv
 from conftest import catalog_presentations, rand_word
@@ -161,6 +163,21 @@ def test_budget_exhaustion_is_explicit(braid3):
     assert o.status in (EquivStatus.BUDGET_EXHAUSTED, EquivStatus.EQUIVALENT)
     res = rv.equivalence_class(braid3, u, tight)
     assert not res.complete
+
+
+# Floats include nan and the infinities.
+NOT_A_COUNT = st.one_of(st.floats(), st.booleans(), st.integers(max_value=0))
+
+
+@pytest.mark.parametrize(
+    "limit", ["max_class_size", "max_cells", "max_grids", "max_word_weight"]
+)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(NOT_A_COUNT, st.integers(1, 10**9))
+def test_budget_limits_are_positive_counts(limit, bad, good):
+    with pytest.raises(ValueError, match=limit):
+        rv.Budget(**{limit: bad})
+    assert getattr(rv.Budget(**{limit: good}), limit) == good
 
 
 def test_explored_counts_words_visited(braid4):

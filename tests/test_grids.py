@@ -433,11 +433,9 @@ def test_reverse_targets_names_the_limit_that_cut_it():
         cb3, cb3.word("s1.a"), cb3.word("s2.b"), rv.Budget(max_grids=1)
     )
     assert not search.complete and search.cut == "max_grids"
-    # A cap below one target cuts a search without branching too.
-    search = rv.reverse_targets(
-        b4, b4.word("s1"), b4.word("s2"), rv.Budget(max_grids=0.5)
-    )
-    assert not search.complete and search.cut == "max_grids"
+    # Limits are counts: a cap below one target cannot be set.
+    with pytest.raises(ValueError, match="max_grids must be an int"):
+        rv.Budget(max_grids=0.5)
     # Not homogeneous: the subproblem (a, b a) comes back inside itself.
     p = rv.make_presentation(["a", "b"], [("a b", "b b a")])
     search = rv.reverse_targets(p, p.word("a"), p.word("b a"))
@@ -637,6 +635,18 @@ def test_grid_operations_on_20000_cells(braid4):
         assert rv.compose_h(*rv.split_h(g, len(v) // 2)) == g
     # The column: 20,001 horizontal lines with a corner at each end.
     assert rv.render_grid(g).count("+") == 2 * 20_001
+
+
+def test_single_target_loop_spells_long_words_without_recursion(braid4):
+    # A u-side target of 20,000 letters is joined as a rope nested 20,000
+    # deep, and spelled by a walk that must not recurse.
+    s1, s2, s3 = (braid4.letter(x) for x in ("s1", "s2", "s3"))
+    long = (s1,) * 20_000
+    budget = rv.Budget(max_cells=1_000_000)
+    for u, v in ((long, (s3,)), ((s3,), long), (long[:2000], (s2,) * 3)):
+        search = rv.reverse_targets(braid4, u, v, budget)
+        assert search == grids._target_sets(braid4, u, v, budget), (len(u), len(v))
+        assert search.complete and len(search.targets) == 1
 
 
 def test_long_identical_words_reverse_to_unit(braid3):
