@@ -6,6 +6,10 @@ s·w = s·w' with w ≠ w' is left cancellative.  When a hypothesis fails the
 verdict is "not by this criterion", never a claim of non-cancellativity.
 Right cancellativity is checked on the mirrored presentation, since left
 reversing of (u, v) corresponds to right reversing of the reversed words.
+Where reversing every relation gives back the same relation set, as in
+the braid and colored braid monoids, the mirror's completeness check
+carries its reports from the left side's cached run, if there is one,
+instead of enumerating grids again (see `completeness`).
 
 For a complete presentation, u and v admit a common right multiple iff
 some grid from (u, v) exists, and u·v1 then right-divides every common

@@ -22,8 +22,12 @@ distances, grid by grid.  A run's `DiamondContext` computes each word's
 class map once and drops them all when the run ends.
 
 A run over all pairs checks one pair per orbit of the presentation's
-automorphisms and carries its reports to the rest of the orbit: see
-`symmetry`.
+automorphisms and carries its reports to the rest of the orbit.  When
+the cache holds the run over the presentation's mirror, and the identity
+letter map verifies as an isomorphism from the mirror onto the
+presentation, the run carries every pair it can from that run instead:
+see `symmetry`.  A cache entry holds the report and the run's record,
+the reports and class keys of its recorded representatives.
 
 The defect of a complete presentation is the worst, over all triples
 (s, relation, grid), of the best total distance between the outputs of the
@@ -37,8 +41,10 @@ first maximum.  The defect reads no carried grid.
 from __future__ import annotations
 
 import enum
+import threading
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, fields, replace
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from typing import Sequence
 
 from .congruence import (
@@ -51,7 +57,15 @@ from .congruence import (
 )
 from .core import Presentation, Relation, Word
 from .grids import Grid, reverse_enumerate, reverse_targets
-from .symmetry import ClassKey, Pair, Symmetry, _Carried, first_index
+from .symmetry import (
+    ClassKey,
+    Pair,
+    Symmetry,
+    _Carried,
+    _TileIndex,
+    first_index,
+    mirror_carriers,
+)
 
 LHS_TO_RHS = "lhs->rhs"
 RHS_TO_LHS = "rhs->lhs"
@@ -172,12 +186,20 @@ def _one_direction(
 class DiamondContext:
     """What the diamond checks of one run over a presentation share: the
     class maps and class ids, the symmetries that carry reports along
-    orbits, and the grids of the representatives checked so far.  It
-    lives as long as the run, and no class map outlives it."""
+    orbits and from the mirror run, if it reads one, and the grids of the
+    representatives checked so far.  It lives as long as the run, and no
+    class map outlives it; the representatives go to the cache entry."""
 
-    def __init__(self, p: Presentation, b: Budget) -> None:
+    def __init__(
+        self, p: Presentation, b: Budget, mirror: tuple[Presentation, dict] | None = None
+    ) -> None:
         self.p = p
         self.b = b
+        # A finished run over p's mirror under b, that this run may read:
+        # its presentation and its `representatives`.
+        self.mirror = mirror
+        # Carried target words, one store for all the run's symmetries.
+        self.words: dict[Word, Word] = {}
         self.class_maps: dict[Word, ClassMap] = {}
         # Word -> id of its complete class, or None when its class map is
         # incomplete.
@@ -223,33 +245,53 @@ class DiamondContext:
         return None if second is None else (first, second)
 
     @cached_property
+    def tile_index(self) -> _TileIndex:
+        return _TileIndex(self.p)
+
+    @cached_property
     def symmetries(self) -> list[Symmetry]:
-        return Symmetry.of_run(self.p)
+        return Symmetry.of_run(self.tile_index, self.words)
+
+    @cached_property
+    def mirror_carriers(self) -> tuple[dict[Pair, tuple[Pair, int]], list[Symmetry]]:
+        """The mirror run's carriers (`symmetry.mirror_carriers`); none
+        without a mirror run, or when the identity does not map it onto p."""
+        carriers = self.mirror and mirror_carriers(*self.mirror, self.tile_index, self.words)
+        return carriers or ({}, [])
 
     def transported(
         self, s: int, rel: Relation
     ) -> tuple[DiamondReport, DiamondReport] | None:
-        """The reports of (s, rel) carried over from its orbit's checked
-        representative, or None when the pair must be checked itself.
+        """The reports of (s, rel) carried over from a checked
+        representative, or None when the pair must be checked itself: from
+        the mirror run's, if it recorded the pair's preimage or that
+        preimage's representative, else from the representative of the
+        pair's orbit in this run.
 
         σ keeps congruence, so two carried grids have congruent targets
         exactly when their preimages' class keys are equal; each carried
         grid keeps its preimage's key.  So the pair's reports hold their
         representative's statuses and a counterexample's witness at once,
         and build their grids and matching on first read."""
-        entry = self.p.orbits[1].get((s, rel.index))
-        data = None if entry is None else self.representatives.get(entry[0])
-        if data is None:
-            return None
+        pair = (s, rel.index)
+        table, syms = self.mirror_carriers
+        entry = table.get(pair)
+        if entry is not None:
+            data = self.mirror[1][entry[0]]
+        else:
+            entry = self.p.orbits[1].get(pair)
+            data = None if entry is None else self.representatives.get(entry[0])
+            if data is None:
+                return None
+            syms = self.symmetries
         (rep, i), (reports, keys) = entry, data
-        sym = self.symmetries[i]
-        grids = (reports[0].src_grids, reports[0].dst_grids)
-        if sym.images[rep[1]][1]:  # σ maps the lhs side onto rel's rhs side
-            reports, grids, keys = reports[::-1], grids[::-1], keys[::-1]
-        carried = _Carried(sym, s, rel, grids, keys)
+        sym = syms[i]
+        flip = sym.images[rep[1]][1]  # 1 when σ maps the lhs side onto rel's rhs side
+        carried = _Carried(sym, s, rel, reports[0], keys, flip)
         out = (object.__new__(DiamondReport), object.__new__(DiamondReport))
         put = object.__setattr__
-        for k, (report, r) in enumerate(zip(out, reports)):
+        for k, report in enumerate(out):
+            r = reports[k ^ flip]
             put(report, "generator", s)
             put(report, "relation", rel)
             put(report, "direction", RHS_TO_LHS if k else LHS_TO_RHS)
@@ -320,14 +362,26 @@ def check_completeness(
 ) -> CompletenessReport:
     """Run the diamond checker over every (generator, relation) pair and
     aggregate.  Complete additionally requires the noetherianity witness:
-    weight-homogeneity with positive integer weights.  The last 32 reports
-    are cached, one per (presentation, budget), however the budget is
-    passed; `check_completeness.cache_clear()` drops them."""
-    return _check_completeness(p, b)
+    weight-homogeneity with positive integer weights.
+
+    The last 32 runs are cached, one per (presentation, budget), however
+    the budget is passed: each entry holds the report and the run's
+    representatives.  A run over p reads the cached run over p's mirror
+    under the same budget, if there is one and the identity letter map
+    verifies as an isomorphism from the mirror onto p, as in the braid
+    monoids: every pair whose preimage that run recorded, or carried from
+    a recorded representative, is carried from it.  Whichever side comes
+    first is checked directly.  Reading the mirror's entry counts neither
+    a hit nor a miss.  `check_completeness.cache_clear()` drops every
+    entry, and `check_completeness.cache_info()` counts as `lru_cache`
+    does."""
+    return _RUNS.report(p, b)
 
 
-@lru_cache(maxsize=32)
-def _check_completeness(p: Presentation, b: Budget) -> CompletenessReport:
+def _check_completeness(
+    p: Presentation, b: Budget
+) -> tuple[CompletenessReport, Presentation, dict]:
+    """The report of a run over p, p itself, and the run's representatives."""
     if p.epsilon_relations or not p.weight_homogeneous:
         reason = (
             "presentation has ε-relations; reversing does not apply"
@@ -335,9 +389,9 @@ def _check_completeness(p: Presentation, b: Budget) -> CompletenessReport:
             else "presentation is not weight-homogeneous; no integer "
             "noetherianity witness"
         )
-        return CompletenessReport(Verdict.INCONCLUSIVE, (), "absent", reason)
+        return CompletenessReport(Verdict.INCONCLUSIVE, (), "absent", reason), p, {}
     pairs: list[DiamondReport] = []
-    context = DiamondContext(p, b)
+    context = DiamondContext(p, b, _RUNS.peek(p.mirrored, b))
     for s in range(len(p.letters)):
         for rel in p.relations:
             pairs += check_diamond(p, s, rel, b, context)
@@ -352,11 +406,61 @@ def _check_completeness(p: Presentation, b: Budget) -> CompletenessReport:
         "weight-homogeneous with positive generator weights; "
         "the weighted length witnesses right noetherianity"
     )
-    return CompletenessReport(verdict, tuple(pairs), witness_text)
+    report = CompletenessReport(verdict, tuple(pairs), witness_text)
+    return report, p, context.representatives
 
 
-check_completeness.cache_clear = _check_completeness.cache_clear  # type: ignore[attr-defined]
-check_completeness.cache_info = _check_completeness.cache_info  # type: ignore[attr-defined]
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _Runs:
+    """The cache of `check_completeness`: (presentation, budget) -> what
+    `_check_completeness` returned, the least recently used entry dropped
+    first past `maxsize`."""
+
+    def __init__(self, maxsize: int) -> None:
+        self.maxsize = maxsize
+        self.lock = threading.Lock()
+        self.entries: OrderedDict[tuple[Presentation, Budget], tuple] = OrderedDict()
+        self.hits = self.misses = 0
+
+    def report(self, p: Presentation, b: Budget) -> CompletenessReport:
+        key = (p, b)
+        with self.lock:
+            entry = self.entries.get(key)
+            if entry is not None:
+                self.entries.move_to_end(key)
+                self.hits += 1
+                return entry[0]
+            self.misses += 1
+        entry = _check_completeness(p, b)
+        with self.lock:
+            self.entries[key] = entry
+            self.entries.move_to_end(key)
+            if len(self.entries) > self.maxsize:
+                self.entries.popitem(last=False)
+        return entry[0]
+
+    def peek(self, p: Presentation, b: Budget) -> tuple[Presentation, dict] | None:
+        """The presentation and representatives of the cached run over
+        (p, b), if any; counted as neither hit nor miss, and not a use."""
+        with self.lock:
+            entry = self.entries.get((p, b))
+        return None if entry is None else entry[1:]
+
+    def cache_clear(self) -> None:
+        with self.lock:
+            self.entries.clear()
+            self.hits = self.misses = 0
+
+    def cache_info(self) -> CacheInfo:
+        with self.lock:
+            return CacheInfo(self.hits, self.misses, self.maxsize, len(self.entries))
+
+
+_RUNS = _Runs(maxsize=32)
+check_completeness.cache_clear = _RUNS.cache_clear  # type: ignore[attr-defined]
+check_completeness.cache_info = _RUNS.cache_info  # type: ignore[attr-defined]
 
 
 def decide_equiv_by_reversing(

@@ -99,8 +99,9 @@ def rewrite_neighbors(p: Presentation, w: Word) -> list[Word]:
 
 
 def _weight_cap(p: Presentation, max_word_weight: int, *words: Word) -> int:
-    # Start words heavier than the budget must still be explorable; for
-    # homogeneous presentations rewriting never changes the weight anyway.
+    # Start words heavier than the budget must still be explorable.  Only
+    # read when the presentation is not weight-homogeneous: otherwise
+    # rewriting never changes the weight, so no word passes the cap.
     return max(max_word_weight, *(p.word_weight(w) for w in words))
 
 
@@ -109,7 +110,8 @@ ClassMap = tuple[dict[Word, int], bool]
 
 def class_distances(p: Presentation, w: Word, b: Budget = DEFAULT_BUDGET) -> ClassMap:
     """Distance map over the class of `w`, and whether it is complete."""
-    weight_cap = _weight_cap(p, b.max_word_weight, w)
+    # None when rewriting keeps the weight: the cap is never reached then.
+    weight_cap = None if p.weight_homogeneous else _weight_cap(p, b.max_word_weight, w)
     dist: dict[Word, int] = {w: 0}
     queue: deque[Word] = deque([w])
     complete = True
@@ -119,7 +121,9 @@ def class_distances(p: Presentation, w: Word, b: Budget = DEFAULT_BUDGET) -> Cla
         for nxt in rewrite_neighbors(p, cur):
             if nxt in dist:
                 continue
-            if len(dist) >= b.max_class_size or p.word_weight(nxt) > weight_cap:
+            if len(dist) >= b.max_class_size or (
+                weight_cap is not None and p.word_weight(nxt) > weight_cap
+            ):
                 complete = False
                 continue
             dist[nxt] = d
@@ -172,7 +176,7 @@ def are_equivalent(
     p.check_letters(u, v)
     if u == v:
         return EquivalenceOutcome(EquivStatus.EQUIVALENT, 0, explored=1)
-    cap = _weight_cap(p, b.max_word_weight, u, v)
+    cap = None if p.weight_homogeneous else _weight_cap(p, b.max_word_weight, u, v)
     du: dict[Word, int] = {u: 0}
     dv: dict[Word, int] = {v: 0}
     fu: list[Word] = [u]
@@ -198,7 +202,7 @@ def are_equivalent(
             for nxt in rewrite_neighbors(p, cur):
                 if nxt in dist:
                     continue
-                if p.word_weight(nxt) > cap:
+                if cap is not None and p.word_weight(nxt) > cap:
                     capped = True
                     continue
                 dist[nxt] = level + 1

@@ -1,14 +1,17 @@
-"""Automorphisms of a presentation, the orbits of its (generator,
-relation) pairs, and the transport of diamond reports along them.
+"""Letter maps between presentations: the automorphisms of a
+presentation, the orbits of its (generator, relation) pairs, the identity
+map from a presentation's mirror onto it, and the transport of diamond
+reports along them.
 
-An automorphism σ of a presentation is a permutation of its letters that
-keeps weights and maps the relation set onto itself, each relation
-possibly with its sides swapped.  It keeps congruence and maps the grids
-from (s, w) one-to-one onto those from (σs, σw), tile by tile, so it maps
-the diamond reports of a pair onto those of its image.
-`find_automorphisms` searches for σ; `orbits` keeps each σ that passes the
-verifier, `automorphism_relations`, and returns plain ints, once per
-presentation (`Presentation.orbits`, shared with the mirror).
+A letter map σ from p onto q is a bijection of the letters that keeps
+weights and maps the relation set of p onto that of q, each relation
+possibly with its sides swapped; an automorphism is one from p onto p.
+It maps congruence onto congruence and the grids from (s, w) one-to-one
+onto those from (σs, σw), tile by tile, so it maps the diamond reports
+of a pair onto those of its image.  `automorphism_relations` is the one
+verifier of such maps.  `find_automorphisms` searches for automorphisms;
+`orbits` keeps each that passes the verifier, and returns plain ints,
+once per presentation (`Presentation.orbits`, shared with the mirror).
 
 `check_completeness` checks the first pair of each orbit.  Every other
 pair gets its reports by carrying the representative's grids through σ
@@ -19,6 +22,15 @@ status at once, and a counterexample its witness, found by keys and
 carried alone; it builds its grids and matching the first time they are
 read (`_Carried`).  An orbit whose representative is inconclusive or
 meets an incomplete class is checked pair by pair.
+
+Reversing every relation gives back the same relation set in the braid
+and colored braid monoids, so there the identity is a letter map from a
+presentation's mirror onto it.  A run over p then reads a finished run
+over its mirror (`mirror_carriers`): a pair whose preimage that run
+recorded is carried by the identity m, one it carried by σ from a
+recorded representative is carried from that representative by m∘σ.  Every
+other pair is handled as above: the mirror run keeps no representative
+for an inconclusive pair or one that meets an incomplete class.
 """
 
 from __future__ import annotations
@@ -26,7 +38,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Collection, Iterator, Sequence
 
 from .core import Presentation, Relation, Tile, Word
 from .grids import Grid, tiles
@@ -125,28 +137,32 @@ def find_automorphisms(p: Presentation) -> tuple[tuple[tuple[int, ...], ...], bo
     return tuple(found), True
 
 
-def automorphism_relations(p: Presentation, sigma: Sequence[int]) -> Images | None:
+def automorphism_relations(
+    p: Presentation, sigma: Sequence[int], q: Presentation | None = None
+) -> Images | None:
     """The verifier: None unless `sigma` (sigma[i] the image of letter i)
-    is a weight-preserving bijection of the letters that maps the relation
-    set onto itself.  Otherwise, for each relation, its image as (relation
-    index, flip), where flip is 1 when sigma maps lhs to the image's rhs."""
+    is a bijection from the letters of p onto those of q (default p) that
+    keeps weights and maps the relation set of p onto that of q.
+    Otherwise, for each relation of p, its image in q as (relation index,
+    flip), where flip is 1 when sigma maps lhs to the image's rhs."""
+    q = p if q is None else q
     n = len(p.letters)
     if len(sigma) != n or any(type(y) is not int for y in sigma):
         return None
-    if sorted(sigma) != list(range(n)):
+    if len(q.letters) != n or sorted(sigma) != list(range(n)):
         return None
-    if any(p.weights[sigma[x]] != p.weights[x] for x in range(n)):
+    if any(q.weights[sigma[x]] != p.weights[x] for x in range(n)):
         return None
     letter_image = sigma.__getitem__
     images = []
     for rel in p.relations:
-        image = p.oriented_relations.get(
+        image = q.oriented_relations.get(
             (tuple(map(letter_image, rel.lhs)), tuple(map(letter_image, rel.rhs)))
         )
         if image is None:
             return None
         images.append(image)
-    if len({index for index, _ in images}) != len(images):
+    if not len({index for index, _ in images}) == len(images) == len(q.relations):
         return None
     return tuple(images)
 
@@ -183,74 +199,96 @@ def first_index(keys: Sequence[ClassKey]) -> dict[ClassKey, int]:
     return {key: j for j, key in reversed(list(enumerate(keys)))}
 
 
-_TileIndex = tuple[list[Tile], dict[int, int], dict[tuple[int, int], Tile]]
+class _TileIndex:
+    """The tiles a grid of p can hold, indexed for carrying grids; each
+    table is built on first read.  The symmetries of one run share one
+    index per presentation."""
 
+    def __init__(self, p: Presentation) -> None:
+        self.p = p
 
-def _tile_index(p: Presentation) -> _TileIndex:
-    """Every tile a grid of p can hold (the tile table and the forced
-    tiles of ε cells); each one's rank by `Tile.key`, by id, so that tuples
-    of ranks sort as `Grid.trace_key` does; and the relation tiles by
-    (relation index, orientation)."""
-    all_tiles = [t for ts in p.tile_table.values() for t in ts]
-    all_tiles += tiles(p, None, None)
-    for x in range(len(p.letters)):
-        all_tiles += tiles(p, x, None) + tiles(p, None, x)
-    ranked = sorted(all_tiles, key=Tile.key)
-    ranks = {id(t): r for r, t in enumerate(ranked)}
-    by_relation = {
-        (t.rel_index, t.orientation): t for t in all_tiles if t.rel_index is not None
-    }
-    return all_tiles, ranks, by_relation
+    @cached_property
+    def all_tiles(self) -> list[Tile]:
+        """The tile table's tiles and the forced tiles of ε cells."""
+        p = self.p
+        out = [t for ts in p.tile_table.values() for t in ts] + list(tiles(p, None, None))
+        for x in range(len(p.letters)):
+            out += tiles(p, x, None) + tiles(p, None, x)
+        return out
+
+    @cached_property
+    def positions(self) -> dict[int, int]:
+        """id of each tile -> its position in `all_tiles`."""
+        return {id(t): i for i, t in enumerate(self.all_tiles)}
+
+    @cached_property
+    def ranks(self) -> dict[int, int]:
+        """id of each tile -> its rank by `Tile.key`, so that tuples of
+        ranks sort as `Grid.trace_key` does."""
+        return {id(t): r for r, t in enumerate(sorted(self.all_tiles, key=Tile.key))}
+
+    @cached_property
+    def by_relation(self) -> dict[tuple[int, int], Tile]:
+        """The relation tiles by (relation index, orientation)."""
+        return {
+            (t.rel_index, t.orientation): t for t in self.all_tiles if t.rel_index is not None
+        }
 
 
 @dataclass(eq=False, repr=False)
 class Symmetry:
-    """One verified automorphism σ of p, and how it carries grids within
-    one run.  Carried target words are kept once each in `words`, which the
-    symmetries of one run share: many grids have the same targets."""
+    """One verified letter map σ onto p, from p itself (an automorphism)
+    or from another presentation (p's mirror), and how it carries grids
+    within one run.  `source` and `target` index the tiles of the two
+    presentations.  Carried target words are kept once each in `words`,
+    which the symmetries of one run share: many grids have the same
+    targets."""
 
     p: Presentation
     sigma: tuple[int, ...]
     images: Images
-    tile_index: _TileIndex
+    source: _TileIndex
+    target: _TileIndex
     words: dict[Word, Word]
 
     @classmethod
-    def of_run(cls, p: Presentation) -> list[Symmetry]:
-        """One per verified σ of `p.orbits`, sharing one tile index and one
-        store of carried words."""
-        index, words = _tile_index(p), {}
-        return [cls(p, sigma, images, index, words) for sigma, images in p.orbits[0]]
+    def of_run(cls, index: _TileIndex, words: dict[Word, Word]) -> list[Symmetry]:
+        """One per verified σ of `p.orbits`, for p = `index.p`."""
+        p = index.p
+        return [cls(p, sigma, images, index, index, words) for sigma, images in p.orbits[0]]
 
     def word(self, w: Word) -> Word:
         image = tuple(map(self.sigma.__getitem__, w))
         return self.words.setdefault(image, image)
 
     @cached_property
-    def tile_maps(self) -> tuple[dict[int, Tile], dict[int, int]]:
-        """id of each tile of p -> its image, and -> its image's rank."""
-        p, sigma = self.p, self.sigma
-        all_tiles, ranks, by_relation = self.tile_index
-        image_of: dict[int, Tile] = {}
-        for t in all_tiles:
+    def tile_maps(self) -> tuple[list[Tile], list[int]]:
+        """By position in the source index: the image of each source tile,
+        p's own, and that image's rank."""
+        p, sigma, by_relation = self.p, self.sigma, self.target.by_relation
+        image_of: list[Tile] = []
+        for t in self.source.all_tiles:
             if t.rel_index is not None:
                 index, flip = self.images[t.rel_index]
-                image = by_relation[index, t.orientation ^ flip]
+                image_of.append(by_relation[index, t.orientation ^ flip])
             else:  # a cancellation or forced tile, the only one of its cell
                 left = None if t.left is None else sigma[t.left]
                 top = None if t.top is None else sigma[t.top]
-                image = tiles(p, left, top)[0]
-            image_of[id(t)] = image
-        rank_of = {i: ranks[id(image)] for i, image in image_of.items()}
-        return image_of, rank_of
+                image_of.append(tiles(p, left, top)[0])
+        ranks = self.target.ranks
+        return image_of, [ranks[id(image)] for image in image_of]
+
+    def _positions(self, g: Grid) -> Iterator[int]:
+        """The source positions of g's tiles."""
+        return map(self.source.positions.__getitem__, map(id, g.cells))
 
     def rank(self, g: Grid) -> tuple[int, ...]:
         """The ranks of the image's tiles: images sort by it as by trace."""
-        return tuple(map(self.tile_maps[1].__getitem__, map(id, g.cells)))
+        return tuple(map(self.tile_maps[1].__getitem__, self._positions(g)))
 
     def grid(self, g: Grid, source: tuple[Word, Word]) -> Grid:
         """The image of g, from `source`."""
-        cells = tuple(map(self.tile_maps[0].__getitem__, map(id, g.cells)))
+        cells = tuple(map(self.tile_maps[0].__getitem__, self._positions(g)))
         return Grid(self.p.letters, source, tuple(map(self.word, g.target)), cells)
 
     def grids(
@@ -262,26 +300,71 @@ class Symmetry:
         return tuple(self.grid(grids[i], source) for i in order), order
 
 
-class _Carried:
-    """A carried pair: σ, its representative's grids and class keys (sides
-    swapped already where σ swaps them) and its witnesses.  The pair's two
-    reports share it and build their grids on first read; no class map."""
+def mirror_carriers(
+    source: Presentation,
+    recorded: Collection[Pair],
+    index: _TileIndex,
+    words: dict[Word, Word],
+) -> tuple[dict[Pair, tuple[Pair, int]], list[Symmetry]] | None:
+    """How a run over p = `index.p` reads a finished run over `source`,
+    p's mirror, whose recorded representatives are `recorded`.  None
+    unless the identity letter map m verifies as an isomorphism from
+    `source` onto p.  Otherwise, the symmetries from `source` onto p (m∘σ
+    for the k-th σ of `source.orbits` at index k, then m), and, for every
+    pair of p whose preimage under m was recorded or carried from a
+    recorded representative: pair -> (that representative, the index of
+    the symmetry mapping it onto the pair)."""
+    p = index.p
+    identity = tuple(range(len(p.letters)))
+    images = automorphism_relations(source, identity, p)
+    if images is None:
+        return None
+    automorphisms, carried = source.orbits
+    origin = _TileIndex(source)
+    # m∘σ maps a relation to m's image of its σ image, flipped where σ flips.
+    pick = (images, tuple((j, 1 - flip) for j, flip in images))
+    syms = [
+        Symmetry(p, sigma, tuple([pick[flip][i] for i, flip in by_sigma]), origin, index, words)
+        for sigma, by_sigma in automorphisms
+    ]
+    syms.append(Symmetry(p, identity, images, origin, index, words))
+    m = [j for j, _ in images]
+    table = {(s, m[i]): entry for (s, i), entry in carried.items() if entry[0] in recorded}
+    table.update({(s, m[i]): ((s, i), len(automorphisms)) for s, i in recorded})
+    return table, syms
 
-    __slots__ = ("sym", "s", "rel", "grids", "keys", "known", "sides")
+
+class _Carried:
+    """A carried pair: σ, its representative's lhs->rhs report and class
+    keys, whether σ swaps the representative's sides, and the pair's
+    witnesses.  The pair's two reports share it and build their grids on
+    first read; no class map."""
+
+    __slots__ = ("sym", "s", "rel", "report", "keys", "flip", "known", "sides")
     on_read = ("src_grids", "dst_grids", "matching")  # the report fields it builds
     lock = threading.Lock()
 
-    def __init__(self, sym: Symmetry, s: int, rel: Relation, grids: tuple, keys: tuple):
-        self.sym, self.s, self.rel, self.grids, self.keys = sym, s, rel, grids, keys
+    def __init__(
+        self, sym: Symmetry, s: int, rel: Relation, report, keys: tuple, flip: int
+    ) -> None:
+        self.sym, self.s, self.rel, self.report, self.keys = sym, s, rel, report, keys
+        self.flip = flip
         self.known: list[tuple[int, Grid] | None] | None = None  # per side
-        self.sides: list[tuple | None] = [None, None]
+        self.sides: list[tuple | None] | None = None  # per side, once built
+
+    def preimages(self, k: int) -> tuple[tuple[Grid, ...], tuple[ClassKey, ...]]:
+        """The grids and keys of the representative's side that σ maps onto
+        side k (0 lhs, 1 rhs)."""
+        j = k ^ self.flip
+        return (self.report.src_grids, self.report.dst_grids)[j], self.keys[j]
 
     def witness(self, k: int) -> Grid:
-        """The counterexample from side k (0 lhs, 1 rhs): of the preimages
-        whose key has no equal on the other side, the image first in trace
-        order; carried alone and kept for the side."""
-        grids, others, rank = self.grids[k], set(self.keys[1 - k]), self.sym.rank
-        unmatched = (i for i, key in enumerate(self.keys[k]) if key not in others)
+        """The counterexample from side k: of the preimages whose key has no
+        equal on the other side, the image first in trace order; carried
+        alone and kept for the side."""
+        (grids, keys), others = self.preimages(k), set(self.preimages(1 - k)[1])
+        rank = self.sym.rank
+        unmatched = (i for i, key in enumerate(keys) if key not in others)
         i = min(unmatched, key=lambda i: rank(grids[i]))
         source = ((self.s,), (self.rel.lhs, self.rel.rhs)[k])
         self.known = self.known or [None, None]
@@ -292,17 +375,19 @@ class _Carried:
         """The images of side k's grids in trace order, and their keys, each
         its preimage's; built once, around the side's witness if it has one."""
         with self.lock:
+            self.sides = self.sides or [None, None]
             if self.sides[k] is None:
                 known = self.known and self.known[k]
                 source = ((self.s,), (self.rel.lhs, self.rel.rhs)[k])
                 if known:  # one source per side: the witness's
                     source = known[1].source
-                grids, order = self.sym.grids(self.grids[k], source)
+                preimages, keys = self.preimages(k)
+                grids, order = self.sym.grids(preimages, source)
                 if known:  # and the witness is the side's grid
                     grids = tuple(known[1] if i == known[0] else g for i, g in zip(order, grids))
-                self.sides[k] = (grids, tuple(map(self.keys[k].__getitem__, order)))
+                self.sides[k] = (grids, tuple(map(keys.__getitem__, order)))
                 if None not in self.sides:  # σ and the preimages are done with
-                    self.sym = self.grids = self.keys = self.known = None
+                    self.sym = self.report = self.keys = self.known = None
             return self.sides[k]
 
     def field(self, name: str, backward: bool) -> tuple:

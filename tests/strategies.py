@@ -53,3 +53,10 @@ def artin_presentations(draw) -> rv.Presentation:
         rels.append(([letters[(i, j)[t % 2]] for t in range(k)],
                      [letters[(j, i)[t % 2]] for t in range(k)]))
     return rv.make_presentation(letters, rels)
+
+
+def with_mirror(p: rv.Presentation) -> rv.Presentation:
+    """p with the reverse of each relation added, so that the identity
+    letter map is an isomorphism from its mirror onto it."""
+    rels = [(p.tokens(r.lhs), p.tokens(r.rhs)) for r in p.relations]
+    return rv.make_presentation(p.letters, rels + [(lhs[::-1], rhs[::-1]) for lhs, rhs in rels])

@@ -25,6 +25,7 @@ import pytest
 
 import reversal as rv
 from conftest import direct_pairs
+from reversal import completeness
 from reversal.completeness import DiamondReport, DiamondStatus, Verdict, diamond_to_json
 from reversal.symmetry import Symmetry
 
@@ -36,11 +37,17 @@ SPECS = {
 }
 
 
-def fresh_pairs(p) -> tuple:
-    """The reports of a new completeness run, none of them read yet."""
+def fresh_pairs(p, after=None) -> tuple:
+    """The reports of a new completeness run, none of them read yet; with
+    `after`, p's mirror, a run that carries every pair from `after`'s."""
     rv.check_completeness.cache_clear()
+    if after is not None:
+        rv.check_completeness(after)
     pairs = rv.check_completeness(p).pairs
-    assert any("_carried" in vars(rep) for rep in pairs)
+    if after is None:
+        assert any("_carried" in vars(rep) for rep in pairs)
+    else:
+        assert all("_carried" in vars(rep) for rep in pairs)
     return pairs
 
 
@@ -61,10 +68,11 @@ READS = {
 }
 
 
-def assert_read_like_standalone(p, status=None) -> None:
+def assert_read_like_standalone(p, status=None, after=None) -> None:
     """Up to 24 carried reports (of `status`, if given), spread over the
-    run, each against its standalone twin."""
-    pairs = fresh_pairs(p)
+    run (after a run over `after`, if given), each against its standalone
+    twin."""
+    pairs = fresh_pairs(p, after)
     carried = [
         i for i, rep in enumerate(pairs)
         if "_carried" in vars(rep) and status in (None, rep.status)
@@ -77,7 +85,7 @@ def assert_read_like_standalone(p, status=None) -> None:
         direct[i] = rv.check_diamond(p, rep.generator, rep.relation)[i % 2]
         assert direct[i].direction == rep.direction
     for read_name, read in READS.items():
-        pairs = fresh_pairs(p)
+        pairs = fresh_pairs(p, after)
         got = [read(p, pairs[i]) for i in sample]
         assert got == [read(p, direct[i]) for i in sample], read_name
         if read_name in ("copy", "deepcopy", "replace", "unpickled"):
@@ -89,9 +97,9 @@ def assert_read_like_standalone(p, status=None) -> None:
     # carried report gives the bytes of an eager report with its values.
     # (Carried grids share their target words, so the bytes may differ
     # from those of the standalone report, which does not.)
-    pairs = fresh_pairs(p)
+    pairs = fresh_pairs(p, after)
     unread = [pickle.dumps(pairs[i]) for i in sample]
-    pairs = fresh_pairs(p)
+    pairs = fresh_pairs(p, after)
     assert unread == [pickle.dumps(as_eager(pairs[i])) for i in sample]
 
 
@@ -107,6 +115,50 @@ def test_carried_reports_read_like_standalone_ones(name, mirrored):
 def test_carried_counterexamples_read_like_standalone_ones(name, mirrored):
     p = SPECS[name]()
     assert_read_like_standalone(p.mirrored if mirrored else p, DiamondStatus.COUNTEREXAMPLE)
+
+
+@pytest.mark.parametrize("mirror_first", [False, True])
+@pytest.mark.parametrize("name", ["cb4abc", "rc5abc", "b7"])
+def test_mirror_carried_reports_read_like_standalone_ones(name, mirror_first):
+    # The second run carries every pair from the first, through the
+    # identity letter map between a presentation and its mirror.
+    p = SPECS[name]()
+    first, second = (p.mirrored, p) if mirror_first else (p, p.mirrored)
+    assert_read_like_standalone(second, after=first)
+    if name == "rc5abc":
+        assert_read_like_standalone(second, DiamondStatus.COUNTEREXAMPLE, after=first)
+
+
+def test_without_a_self_mirror_run_the_mirror_is_checked_directly(monkeypatch):
+    enumerated = []
+    enumerate_grids = completeness.reverse_enumerate
+
+    def counted(p, *args):
+        enumerated.append(p)
+        return enumerate_grids(p, *args)
+
+    monkeypatch.setattr(completeness, "reverse_enumerate", counted)
+
+    def right_enumerations(p, left_first: bool, clear_between: bool = False) -> int:
+        rv.check_completeness.cache_clear()
+        if left_first:
+            rv.check_left_cancellative(p)
+        if clear_between:
+            rv.check_completeness.cache_clear()
+        enumerated.clear()
+        rv.check_right_cancellative(p)
+        assert set(enumerated) <= {p.mirrored}
+        return len(enumerated)
+
+    # Malcev's presentation is not its own mirror under the identity.
+    malcev = rv.malcev()
+    alone = right_enumerations(malcev, False)
+    assert alone > 0 and right_enumerations(malcev, True) == alone
+    # The first run after the cache is cleared is checked directly.
+    p = SPECS["cb4abc"]()
+    alone = right_enumerations(p, False)
+    assert alone > 0 and right_enumerations(p, True, clear_between=True) == alone
+    assert right_enumerations(p, True) == 0
 
 
 def test_carried_counterexamples_have_their_witness():
@@ -158,6 +210,44 @@ def test_threads_reading_fresh_reports_get_equal_grids():
         sys.setswitchinterval(interval)
 
 
+def test_threads_share_the_run_cache():
+    # 40 budgets, none binding, against 32 entries: runs read their
+    # mirror's entry while other threads add and drop entries.
+    p = rv.colored_braid(3, ["a", "b"])
+    want = {side: direct_pairs(side) for side in (p, p.mirrored)}
+    budgets = [rv.Budget(max_class_size=n) for n in range(1000, 1040)]
+    rv.check_completeness.cache_clear()
+    results: list = [None] * 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        barrier = threading.Barrier(4)
+
+        def run(k: int) -> None:
+            barrier.wait()
+            results[k] = [
+                (side, rv.check_completeness(side, b))
+                for i, b in enumerate(budgets)
+                for side in ((p, p.mirrored) if (i + k) % 2 else (p.mirrored, p))
+            ]
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    info = rv.check_completeness.cache_info()
+    assert info.hits + info.misses == 4 * 2 * len(budgets)  # no count lost
+    assert info.currsize == 32
+    for done in results:
+        assert len(done) == 2 * len(budgets)
+        assert all(list(report.pairs) == want[side] for side, report in done)
+    rv.check_completeness.cache_clear()
+
+
 def test_verdicts_carry_no_grids(monkeypatch):
     calls = []
     carry = Symmetry.grids
@@ -170,6 +260,8 @@ def test_verdicts_carry_no_grids(monkeypatch):
     p = SPECS["cb4abc"]()
     rv.check_completeness.cache_clear()
     assert rv.check_left_cancellative(p).status.value == "cancellative"
+    assert calls == []
+    assert rv.check_right_cancellative(p).status.value == "cancellative"  # carried
     assert calls == []
     carried = [rep for rep in rv.check_completeness(p).pairs if "_carried" in vars(rep)]
     carried[0].src_grids
@@ -197,14 +289,25 @@ def test_verdicts_carry_only_the_witnesses(monkeypatch):
     ]
     assert 0 < len(calls) <= len(bad)
     assert all(rep.witness.source is source for rep, source in zip(bad, calls))
+    # The right verdict carries every pair from the left run: again only
+    # the witnesses.
+    calls.clear()
+    assert rv.check_right_cancellative(p).status.value == "not-by-this-criterion"
+    pairs = rv.check_completeness(p.mirrored).pairs
+    assert all("_carried" in vars(rep) for rep in pairs)
+    bad = [rep for rep in pairs if rep.status is DiamondStatus.COUNTEREXAMPLE]
+    assert 0 < len(calls) <= len(bad)
+    assert all(rep.witness.source is source for rep, source in zip(bad, calls))
 
 
-def test_a_cached_report_holds_little_memory():
-    # The cached report of colored_braid(4,{a,b,c}) held 1.7 MB when every
-    # carried report kept its own grids.
-    p = SPECS["cb4abc"]()
-    p.tile_table, p.rewrite_index, p.orbits  # compiled data belongs to p
+def held_by_run(p, after=None) -> tuple:
+    """The memory that the cached run over p holds, with `after`'s run
+    cached first if given; and its report."""
+    for q in (p, p.mirrored):  # compiled data belongs to the presentations
+        q.tile_table, q.rewrite_index, q.orbits, q.oriented_relations
     rv.check_completeness.cache_clear()
+    if after is not None:
+        rv.check_completeness(after)
     gc.collect()
     tracemalloc.start()
     try:
@@ -215,5 +318,23 @@ def test_a_cached_report_holds_little_memory():
     finally:
         tracemalloc.stop()
         rv.check_completeness.cache_clear()
+    return held, report
+
+
+def test_a_cached_report_holds_little_memory():
+    # The cached report of colored_braid(4,{a,b,c}) held 1.7 MB when every
+    # carried report kept its own grids.
+    held, report = held_by_run(SPECS["cb4abc"]())
     assert report.verdict is Verdict.COMPLETE
     assert held < 1_500_000
+
+
+def test_a_mirror_carried_cached_report_holds_little_memory():
+    # Measured at 0.27 MB for the mirror of colored_braid(4,{a,b,c}) when
+    # its run carries every pair from the left run; 0.62 MB when that run
+    # checks its orbit representatives itself.
+    p = SPECS["cb4abc"]()
+    held, report = held_by_run(p.mirrored, after=p)
+    assert report.verdict is Verdict.COMPLETE
+    assert all("_carried" in vars(rep) for rep in report.pairs)
+    assert held < 320_000

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import reversal as rv
 from conftest import catalog_presentations, rand_word
-from reversal.congruence import EquivStatus, rewrite_neighbors
+from reversal.congruence import EquivStatus, class_distances, rewrite_neighbors
 
 
 def naive_class(p: rv.Presentation, w: rv.Word) -> set[rv.Word]:
@@ -131,8 +131,6 @@ def test_equivalence_relation_properties():
 def test_bidirectional_distance_matches_full_bfs():
     # The single-source closure yields exact distances; the bidirectional
     # search must reproduce them word for word.
-    from reversal.congruence import class_distances
-
     for p in (rv.braid(3), rv.colored_braid(3, ["a", "b"])):
         rng = random.Random(13)
         for _ in range(15):
@@ -163,6 +161,32 @@ def test_budget_exhaustion_is_explicit(braid3):
     assert o.status in (EquivStatus.BUDGET_EXHAUSTED, EquivStatus.EQUIVALENT)
     res = rv.equivalence_class(braid3, u, tight)
     assert not res.complete
+
+
+def test_weight_cap_holds_where_rewriting_changes_the_weight():
+    # a = b a grows without end: only the weight cap stops the search.
+    p = rv.make_presentation(["a", "b"], [(["a"], ["b", "a"])])
+    assert not p.weight_homogeneous
+    dist, complete = class_distances(p, p.word("a"))
+    assert len(dist) == 12 and not complete
+    o = rv.are_equivalent(p, p.word("a"), p.word("b"))
+    assert o.status is EquivStatus.BUDGET_EXHAUSTED
+    o = rv.are_equivalent(p, p.word("a a"), p.word("b"))
+    assert (o.status, o.explored) == (EquivStatus.NOT_EQUIVALENT, 4)
+
+
+def test_searches_of_a_homogeneous_presentation_read_no_weight(braid4, monkeypatch):
+    # Rewriting keeps the weight there, so the cap can never fire.
+    assert braid4.weight_homogeneous
+    weighed = []
+    weight = rv.Presentation.word_weight
+    monkeypatch.setattr(
+        rv.Presentation, "word_weight", lambda p, w: weighed.append(w) or weight(p, w)
+    )
+    u, v = braid4.word("s1 s2 s1 s3 s2"), braid4.word("s3 s2 s1 s3 s2")
+    assert class_distances(braid4, u)[1]
+    assert rv.are_equivalent(braid4, u, v).decided
+    assert weighed == []
 
 
 # Floats include nan and the infinities.

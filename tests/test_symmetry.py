@@ -2,10 +2,13 @@
 
 `check_completeness` checks one (generator, relation) pair per orbit of
 the presentation's automorphisms and carries the representative's grids
-and reports to the rest of the orbit.  These tests hold the carried
-reports to the direct ones: the automorphism verifier, one search and
-one verification per presentation and its mirror, grid transport against
-enumeration of the image, whole reports against standalone `check_diamond`
+and reports to the rest of the orbit; a run over a presentation's mirror
+carries reports from the run over the presentation.  These tests hold
+the carried reports to the direct ones: the verifier, within one
+presentation and between two, one search and one verification per
+presentation and its mirror, grid transport (along automorphisms and onto
+the mirror) against enumeration of the image, whole reports against
+standalone `check_diamond`
 and against matching by distances, random symmetric presentations, and a
 search stopped by its node cap.
 """
@@ -19,7 +22,7 @@ from hypothesis import strategies as st
 
 import reversal as rv
 from conftest import catalog_presentations, direct_pairs
-from strategies import symmetric_presentations
+from strategies import artin_presentations, symmetric_presentations, with_mirror
 from reversal import symmetry
 from reversal.completeness import (
     RHS_TO_LHS,
@@ -49,8 +52,12 @@ def scan_matching(p, rep, b) -> tuple:
     return tuple(out)
 
 
-def assert_reports_are_direct(p, b=rv.DEFAULT_BUDGET) -> None:
+def assert_reports_are_direct(p, b=rv.DEFAULT_BUDGET, after=None) -> None:
+    """The reports of a fresh run over p, after one over `after` (p's
+    mirror) if given, equal those of standalone `check_diamond`."""
     rv.check_completeness.cache_clear()
+    if after is not None:
+        rv.check_completeness(after, b)
     report = rv.check_completeness(p, b)
     direct = direct_pairs(p, b)
     assert list(report.pairs) == direct
@@ -75,6 +82,27 @@ def test_verifier_rejects_wrong_maps():
     assert automorphism_relations(weighted, (2, 1, 0)) is None
     # Maps s1 s3 = s3 s1 to s2 s3 = s3 s2, which is no relation.
     assert automorphism_relations(b4, (1, 0, 2)) is None
+
+
+def test_verifier_maps_onto_another_presentation():
+    b4 = rv.braid(4)
+    identity = (0, 1, 2)
+    # Reversing s1 s3 = s3 s1 gives the same relation, sides swapped.
+    assert automorphism_relations(b4.mirrored, identity, b4) == ((0, 0), (1, 1), (2, 0))
+    assert automorphism_relations(b4, (2, 1, 0), b4.mirrored) == ((2, 1), (1, 0), (0, 1))
+    # A weight of the target differs.
+    relations = [(b4.tokens(r.lhs), b4.tokens(r.rhs)) for r in b4.relations]
+    heavy = rv.make_presentation(b4.letters, relations, {"s2": 2})
+    assert automorphism_relations(b4.mirrored, identity, heavy) is None
+    # The target lacks a relation, or has one more.
+    fewer = rv.make_presentation(b4.letters, [("s1 s2 s1", "s2 s1 s2"), ("s1 s3", "s3 s1")])
+    assert automorphism_relations(b4.mirrored, identity, fewer) is None
+    assert automorphism_relations(fewer, identity, b4) is None
+    # Another alphabet.
+    assert automorphism_relations(b4, identity, rv.braid(5)) is None
+    # Malcev's presentation is not its own mirror under the identity.
+    m = rv.malcev()
+    assert automorphism_relations(m.mirrored, tuple(range(len(m.letters))), m) is None
 
 
 def non_identity(maps) -> list:
@@ -114,21 +142,28 @@ def test_mirror_reuses_the_automorphisms():
 
 
 def test_one_search_and_one_verification_per_presentation(monkeypatch):
-    # Each completeness run builds its own carriers; the defect builds none.
+    # Each completeness run indexes its own tiles; the defect indexes none.
+    # The run over the mirror verifies the identity map from p onto it
+    # once, and indexes the tiles of both.
     searched, verified, indexed = [], [], []
-    search, verify, index = find_automorphisms, automorphism_relations, symmetry._tile_index
+    search, verify = find_automorphisms, automorphism_relations
+    index_init = symmetry._TileIndex.__init__
 
     def counted_search(p):
         searched.append(p)
         return search(p)
 
-    def counted_verify(p, sigma):
+    def counted_verify(p, sigma, q=None):
         verified.append(sigma)
-        return verify(p, sigma)
+        return verify(p, sigma, q)
+
+    def counted_index(self, p):
+        indexed.append(p)
+        index_init(self, p)
 
     monkeypatch.setattr(symmetry, "find_automorphisms", counted_search)
     monkeypatch.setattr(symmetry, "automorphism_relations", counted_verify)
-    monkeypatch.setattr(symmetry, "_tile_index", lambda p: indexed.append(p) or index(p))
+    monkeypatch.setattr(symmetry._TileIndex, "__init__", counted_index)
     p = rv.colored_braid(4, ["a", "b"])
     rv.check_completeness.cache_clear()
     assert rv.check_completeness(p).verdict is Verdict.COMPLETE
@@ -137,8 +172,9 @@ def test_one_search_and_one_verification_per_presentation(monkeypatch):
     rv.check_completeness.cache_clear()
     rv.check_completeness(p)
     assert searched == [p]
-    assert verified == non_identity(search(p)[0]) and verified
-    assert indexed == [p, p.mirrored, p]
+    identity = tuple(range(len(p.letters)))
+    assert verified == non_identity(search(p)[0]) + [identity] and len(verified) > 1
+    assert indexed == [p, p.mirrored, p, p]
 
 
 def test_transported_grids_equal_enumeration_of_the_image():
@@ -153,7 +189,7 @@ def test_transported_grids_equal_enumeration_of_the_image():
         for p in (base, rv.mirror(base)):
             maps, exhaustive = find_automorphisms(p)
             assert exhaustive and len(maps) > 1, name
-            syms = Symmetry.of_run(p)
+            syms = Symmetry.of_run(symmetry._TileIndex(p), {})
             assert len(syms) == len(maps) - 1, name
             grids = {}
 
@@ -177,6 +213,32 @@ def test_transported_grids_equal_enumeration_of_the_image():
     assert reordered > 0
 
 
+def test_mirror_carried_grids_equal_enumeration_of_the_image():
+    # m∘σ for p's first σ, and the identity m from p onto its mirror.
+    specs = {
+        "cb3abc": rv.colored_braid(3, ["a", "b", "c"]),
+        "rc4abc": rv.restricted_colored(4, ["a", "b", "c"]),
+        "b7": rv.braid(7),
+    }
+    for name, p in specs.items():
+        q = p.mirrored
+        table, syms = symmetry.mirror_carriers(p, (), symmetry._TileIndex(q), {})
+        assert table == {} and len(syms) == len(p.orbits[0]) + 1 > 1, name
+        for sym in (syms[0], syms[-1]):
+            for s in range(len(p.letters)):
+                for rel in p.relations:
+                    for side in (rel.lhs, rel.rhs):
+                        source = ((sym.sigma[s],), tuple(sym.sigma[x] for x in side))
+                        preimages = rv.reverse_enumerate(p, (s,), side).grids
+                        images, _ = sym.grids(preimages, source)
+                        assert images == rv.reverse_enumerate(q, *source).grids, (
+                            name, sym.sigma, s, rel.index
+                        )
+    # No carriers where the identity is no isomorphism.
+    m = rv.malcev()
+    assert symmetry.mirror_carriers(m, (), symmetry._TileIndex(m.mirrored), {}) is None
+
+
 def test_check_completeness_equals_standalone_diamonds():
     cases = dict(catalog_presentations())
     cases["cb3abc"] = rv.colored_braid(3, ["a", "b", "c"])
@@ -198,6 +260,20 @@ def test_random_symmetric_presentations(p, max_class_size):
     b = rv.Budget(max_class_size=max_class_size, max_cells=60, max_grids=60)
     assert_reports_are_direct(p, b)
     assert_reports_are_direct(rv.mirror(p), b)
+    assert_reports_are_direct(rv.mirror(p), b, after=p)  # carried where p is self-mirror
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(artin_presentations(), symmetric_presentations().map(with_mirror)),
+    st.sampled_from([100_000, 3, 2]),
+)
+def test_random_self_mirror_presentations(p, max_class_size):
+    # Each run after the other carries from it what the other recorded.
+    assert automorphism_relations(p.mirrored, tuple(range(len(p.letters))), p) is not None
+    b = rv.Budget(max_class_size=max_class_size, max_cells=60, max_grids=60)
+    assert_reports_are_direct(p.mirrored, b, after=p)
+    assert_reports_are_direct(p, b, after=p.mirrored)
 
 
 def test_node_cap_stops_the_search_and_keeps_the_reports():
