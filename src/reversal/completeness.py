@@ -22,12 +22,14 @@ distances, grid by grid.  A run's `DiamondContext` computes each word's
 class map once and drops them all when the run ends.
 
 A run over all pairs checks one pair per orbit of the presentation's
-automorphisms and carries its reports to the rest of the orbit.  When
-the cache holds the run over the presentation's mirror, and the identity
-letter map verifies as an isomorphism from the mirror onto the
-presentation, the run carries every pair it can from that run instead:
-see `symmetry`.  A cache entry holds the report and the run's record,
-the reports and class keys of its recorded representatives.
+automorphisms and carries its reports to the rest of the orbit.  It
+carries a pair from the first of its sources (`symmetry.carriers`) whose
+record holds the pair's representative: the cached run over the
+presentation's mirror, when there is one and the identity letter map
+verifies as an isomorphism from the mirror onto the presentation, then
+the run's own orbits.  A cache entry holds the report and the run's
+record, the reports and class keys of its recorded representatives; no
+run keeps a store of carried words.
 
 The defect of a complete presentation is the worst, over all triples
 (s, relation, grid), of the best total distance between the outputs of the
@@ -57,15 +59,7 @@ from .congruence import (
 )
 from .core import Presentation, Relation, Word
 from .grids import Grid, reverse_enumerate, reverse_targets
-from .symmetry import (
-    ClassKey,
-    Pair,
-    Symmetry,
-    _Carried,
-    _TileIndex,
-    first_index,
-    mirror_carriers,
-)
+from .symmetry import ClassKey, Pair, Record, Source, _Carried, carriers, first_index
 
 LHS_TO_RHS = "lhs->rhs"
 RHS_TO_LHS = "rhs->lhs"
@@ -185,21 +179,19 @@ def _one_direction(
 
 class DiamondContext:
     """What the diamond checks of one run over a presentation share: the
-    class maps and class ids, the symmetries that carry reports along
-    orbits and from the mirror run, if it reads one, and the grids of the
-    representatives checked so far.  It lives as long as the run, and no
-    class map outlives it; the representatives go to the cache entry."""
+    class maps and class ids, the sources it carries reports from (the
+    mirror run, if it reads one, then its own orbits), and the grids of
+    the representatives checked so far.  It lives as long as the run, and
+    no class map outlives it; the representatives go to the cache entry."""
 
     def __init__(
-        self, p: Presentation, b: Budget, mirror: tuple[Presentation, dict] | None = None
+        self, p: Presentation, b: Budget, mirror: tuple[Presentation, Record] | None = None
     ) -> None:
         self.p = p
         self.b = b
         # A finished run over p's mirror under b, that this run may read:
         # its presentation and its `representatives`.
         self.mirror = mirror
-        # Carried target words, one store for all the run's symmetries.
-        self.words: dict[Word, Word] = {}
         self.class_maps: dict[Word, ClassMap] = {}
         # Word -> id of its complete class, or None when its class map is
         # incomplete.
@@ -207,7 +199,7 @@ class DiamondContext:
         self.classes = 0
         # (generator, relation index) of a checked representative -> its
         # two reports and the class keys of its two sides' grids.
-        self.representatives: dict[Pair, tuple] = {}
+        self.representatives: Record = {}
 
     def class_map(self, w: Word) -> ClassMap:
         entry = self.class_maps.get(w)
@@ -245,28 +237,17 @@ class DiamondContext:
         return None if second is None else (first, second)
 
     @cached_property
-    def tile_index(self) -> _TileIndex:
-        return _TileIndex(self.p)
-
-    @cached_property
-    def symmetries(self) -> list[Symmetry]:
-        return Symmetry.of_run(self.tile_index, self.words)
-
-    @cached_property
-    def mirror_carriers(self) -> tuple[dict[Pair, tuple[Pair, int]], list[Symmetry]]:
-        """The mirror run's carriers (`symmetry.mirror_carriers`); none
-        without a mirror run, or when the identity does not map it onto p."""
-        carriers = self.mirror and mirror_carriers(*self.mirror, self.tile_index, self.words)
-        return carriers or ({}, [])
+    def sources(self) -> list[Source]:
+        """Where the run carries reports from (`symmetry.carriers`)."""
+        return carriers(self.p, self.representatives, self.mirror)
 
     def transported(
         self, s: int, rel: Relation
     ) -> tuple[DiamondReport, DiamondReport] | None:
         """The reports of (s, rel) carried over from a checked
         representative, or None when the pair must be checked itself: from
-        the mirror run's, if it recorded the pair's preimage or that
-        preimage's representative, else from the representative of the
-        pair's orbit in this run.
+        the first source whose record holds the representative its table
+        gives for the pair, the mirror run's before this run's own.
 
         σ keeps congruence, so two carried grids have congruent targets
         exactly when their preimages' class keys are equal; each carried
@@ -274,16 +255,13 @@ class DiamondContext:
         representative's statuses and a counterexample's witness at once,
         and build their grids and matching on first read."""
         pair = (s, rel.index)
-        table, syms = self.mirror_carriers
-        entry = table.get(pair)
-        if entry is not None:
-            data = self.mirror[1][entry[0]]
+        for table, record, syms in self.sources:
+            entry = table.get(pair)
+            data = None if entry is None else record.get(entry[0])
+            if data is not None:
+                break
         else:
-            entry = self.p.orbits[1].get(pair)
-            data = None if entry is None else self.representatives.get(entry[0])
-            if data is None:
-                return None
-            syms = self.symmetries
+            return None
         (rep, i), (reports, keys) = entry, data
         sym = syms[i]
         flip = sym.images[rep[1]][1]  # 1 when σ maps the lhs side onto rel's rhs side
@@ -380,7 +358,7 @@ def check_completeness(
 
 def _check_completeness(
     p: Presentation, b: Budget
-) -> tuple[CompletenessReport, Presentation, dict]:
+) -> tuple[CompletenessReport, Presentation, Record]:
     """The report of a run over p, p itself, and the run's representatives."""
     if p.epsilon_relations or not p.weight_homogeneous:
         reason = (
@@ -441,7 +419,7 @@ class _Runs:
                 self.entries.popitem(last=False)
         return entry[0]
 
-    def peek(self, p: Presentation, b: Budget) -> tuple[Presentation, dict] | None:
+    def peek(self, p: Presentation, b: Budget) -> tuple[Presentation, Record] | None:
         """The presentation and representatives of the cached run over
         (p, b), if any; counted as neither hit nor miss, and not a use."""
         with self.lock:

@@ -755,27 +755,37 @@ def grid_to_json(g: Grid) -> dict:
 
 
 def grid_from_json(p: Presentation, doc: dict) -> Grid:
+    """The grid that `grid_to_json` wrote as `doc`.  Raises GridError for a
+    malformed document (a missing key, a list that is not one, an unknown
+    tile kind) and PresentationError for an unknown letter."""
+
     def seg(tok) -> int | None:
         return None if tok is None else p.letter(tok)
 
     def word(tokens: list[str]) -> Word:
+        if not isinstance(tokens, list):
+            raise GridError(f"a word must be a list of letters, not {tokens!r}")
         return tuple(p.letter(t) for t in tokens)
 
-    cells = tuple(
-        Tile(
-            TileKind(c["kind"]),
-            seg(c["left"]),
-            seg(c["top"]),
-            word(c["right"]),
-            word(c["bottom"]),
-            c.get("rel_index"),
-            c.get("orientation"),
+    def sides(key: str) -> tuple[Word, Word]:
+        pair = doc[key]
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise GridError(f"{key!r} must be a list of two words")
+        return word(pair[0]), word(pair[1])
+
+    def tile(c: dict) -> Tile:
+        try:
+            kind = TileKind(c["kind"])
+        except ValueError:
+            raise GridError(f"unknown tile kind {c['kind']!r}") from None
+        return Tile(
+            kind, seg(c["left"]), seg(c["top"]), word(c["right"]), word(c["bottom"]),
+            c.get("rel_index"), c.get("orientation"),
         )
-        for c in doc["cells"]
-    )
-    return Grid(
-        p.letters,
-        (word(doc["source"][0]), word(doc["source"][1])),
-        (word(doc["target"][0]), word(doc["target"][1])),
-        cells,
-    )
+
+    try:
+        if not isinstance(doc["cells"], list):
+            raise GridError("'cells' must be a list")
+        return Grid(p.letters, sides("source"), sides("target"), tuple(map(tile, doc["cells"])))
+    except (KeyError, TypeError) as exc:
+        raise GridError(f"malformed grid document: {exc!r}") from None

@@ -26,11 +26,17 @@ meets an incomplete class is checked pair by pair.
 Reversing every relation gives back the same relation set in the braid
 and colored braid monoids, so there the identity is a letter map from a
 presentation's mirror onto it.  A run over p then reads a finished run
-over its mirror (`mirror_carriers`): a pair whose preimage that run
-recorded is carried by the identity m, one it carried by σ from a
-recorded representative is carried from that representative by m∘σ.  Every
-other pair is handled as above: the mirror run keeps no representative
-for an inconclusive pair or one that meets an incomplete class.
+over its mirror first.  `carriers` gives a run its sources in the order
+it tries them, each a table, pair -> (its representative, the index of
+the symmetry carrying that onto it), with the record of representatives
+it reads and the symmetries.  The mirror run's table lists every pair:
+one whose preimage under the identity m is a representative comes from
+that preimage by m, one whose preimage σ carries comes from σ's
+representative by m∘σ.  Then come p's own orbits.  A pair comes from the
+first source whose record holds its representative, and is checked
+itself when none does: no run records an inconclusive pair or one that
+meets an incomplete class.  A carried grid's target words are its own;
+no store shares them between grids.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .core import Presentation, Relation, Tile, Word
 from .grids import Grid, tiles
@@ -49,6 +55,13 @@ Images = tuple[tuple[int, int], ...]
 # A grid's class key: the ids of its two targets' classes, or None when a
 # target's class map is incomplete.
 ClassKey = tuple[int, int] | None
+# A run's record: each checked representative -> its two reports and the
+# class keys of its two sides' grids.
+Record = dict[Pair, tuple]
+# Where a run carries reports from: pair -> (its representative, the index
+# of the symmetry mapping the representative onto it); the record that
+# holds the representatives; the symmetries.
+Source = tuple[dict[Pair, tuple[Pair, int]], Record, list["Symmetry"]]
 
 # Letter assignments the automorphism search may try before it stops.  A
 # stopped search returns the automorphisms found so far: fewer symmetries
@@ -237,35 +250,24 @@ class _TileIndex:
 
 @dataclass(eq=False, repr=False)
 class Symmetry:
-    """One verified letter map σ onto p, from p itself (an automorphism)
-    or from another presentation (p's mirror), and how it carries grids
-    within one run.  `source` and `target` index the tiles of the two
-    presentations.  Carried target words are kept once each in `words`,
-    which the symmetries of one run share: many grids have the same
-    targets."""
+    """One verified letter map σ onto a presentation, from itself (an
+    automorphism) or from another presentation (its mirror), and how it
+    carries grids.  `source` and `target` index the tiles of the two
+    presentations."""
 
-    p: Presentation
     sigma: tuple[int, ...]
     images: Images
     source: _TileIndex
     target: _TileIndex
-    words: dict[Word, Word]
-
-    @classmethod
-    def of_run(cls, index: _TileIndex, words: dict[Word, Word]) -> list[Symmetry]:
-        """One per verified σ of `p.orbits`, for p = `index.p`."""
-        p = index.p
-        return [cls(p, sigma, images, index, index, words) for sigma, images in p.orbits[0]]
 
     def word(self, w: Word) -> Word:
-        image = tuple(map(self.sigma.__getitem__, w))
-        return self.words.setdefault(image, image)
+        return tuple(map(self.sigma.__getitem__, w))
 
     @cached_property
     def tile_maps(self) -> tuple[list[Tile], list[int]]:
         """By position in the source index: the image of each source tile,
-        p's own, and that image's rank."""
-        p, sigma, by_relation = self.p, self.sigma, self.target.by_relation
+        the target's own, and that image's rank."""
+        p, sigma, by_relation = self.target.p, self.sigma, self.target.by_relation
         image_of: list[Tile] = []
         for t in self.source.all_tiles:
             if t.rel_index is not None:
@@ -289,7 +291,7 @@ class Symmetry:
     def grid(self, g: Grid, source: tuple[Word, Word]) -> Grid:
         """The image of g, from `source`."""
         cells = tuple(map(self.tile_maps[0].__getitem__, self._positions(g)))
-        return Grid(self.p.letters, source, tuple(map(self.word, g.target)), cells)
+        return Grid(self.target.p.letters, source, tuple(map(self.word, g.target)), cells)
 
     def grids(
         self, grids: tuple[Grid, ...], source: tuple[Word, Word]
@@ -300,38 +302,41 @@ class Symmetry:
         return tuple(self.grid(grids[i], source) for i in order), order
 
 
-def mirror_carriers(
-    source: Presentation,
-    recorded: Collection[Pair],
-    index: _TileIndex,
-    words: dict[Word, Word],
-) -> tuple[dict[Pair, tuple[Pair, int]], list[Symmetry]] | None:
-    """How a run over p = `index.p` reads a finished run over `source`,
-    p's mirror, whose recorded representatives are `recorded`.  None
-    unless the identity letter map m verifies as an isomorphism from
-    `source` onto p.  Otherwise, the symmetries from `source` onto p (m∘σ
-    for the k-th σ of `source.orbits` at index k, then m), and, for every
-    pair of p whose preimage under m was recorded or carried from a
-    recorded representative: pair -> (that representative, the index of
-    the symmetry mapping it onto the pair)."""
-    p = index.p
+def carriers(
+    p: Presentation, record: Record, mirror: tuple[Presentation, Record] | None = None
+) -> list[Source]:
+    """Where a run over p carries reports from, in the order it tries
+    them: a finished run over p's mirror, given as `mirror` (that
+    presentation and its run's record), if the identity letter map m
+    verifies as an isomorphism from it onto p; then p's own orbits, whose
+    representatives the run keeps in `record`.
+
+    The mirror's symmetries are m∘σ for the k-th σ of its orbits at index
+    k, then m.  Its table maps every pair of p: one whose preimage under m
+    is a representative to that preimage, by m; one whose preimage σ
+    carries from a representative to that representative, by m∘σ."""
+    index = _TileIndex(p)
+    out: list[Source] = []
     identity = tuple(range(len(p.letters)))
-    images = automorphism_relations(source, identity, p)
-    if images is None:
-        return None
-    automorphisms, carried = source.orbits
-    origin = _TileIndex(source)
-    # m∘σ maps a relation to m's image of its σ image, flipped where σ flips.
-    pick = (images, tuple((j, 1 - flip) for j, flip in images))
-    syms = [
-        Symmetry(p, sigma, tuple([pick[flip][i] for i, flip in by_sigma]), origin, index, words)
-        for sigma, by_sigma in automorphisms
-    ]
-    syms.append(Symmetry(p, identity, images, origin, index, words))
-    m = [j for j, _ in images]
-    table = {(s, m[i]): entry for (s, i), entry in carried.items() if entry[0] in recorded}
-    table.update({(s, m[i]): ((s, i), len(automorphisms)) for s, i in recorded})
-    return table, syms
+    images = mirror and automorphism_relations(mirror[0], identity, p)
+    if images is not None:
+        source, recorded = mirror
+        automorphisms, carried = source.orbits
+        origin = _TileIndex(source)
+        # m∘σ maps a relation to m's image of its σ image, flipped where σ flips.
+        pick = (images, tuple((j, 1 - flip) for j, flip in images))
+        syms = [
+            Symmetry(sigma, tuple([pick[flip][i] for i, flip in by_sigma]), origin, index)
+            for sigma, by_sigma in automorphisms
+        ]
+        syms.append(Symmetry(identity, images, origin, index))
+        m = [j for j, _ in images]
+        table = {(s, m[i]): ((s, i), len(automorphisms)) for s in identity for i in range(len(m))}
+        table.update({(s, m[i]): entry for (s, i), entry in carried.items()})
+        out.append((table, recorded, syms))
+    automorphisms, carried = p.orbits
+    out.append((carried, record, [Symmetry(*sym, index, index) for sym in automorphisms]))
+    return out
 
 
 class _Carried:

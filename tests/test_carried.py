@@ -95,8 +95,9 @@ def assert_read_like_standalone(p, status=None, after=None) -> None:
             assert rep.witness is None or any(g is rep.witness for g in rep.src_grids)
     # A report pickles its fields in field order, read or not: a fresh
     # carried report gives the bytes of an eager report with its values.
-    # (Carried grids share their target words, so the bytes may differ
-    # from those of the standalone report, which does not.)
+    # (The carried grids of a side share one `source` tuple, so the bytes
+    # may differ from those of the standalone report, whose grids each
+    # have their own; target words are each grid's own in both.)
     pairs = fresh_pairs(p, after)
     unread = [pickle.dumps(pairs[i]) for i in sample]
     pairs = fresh_pairs(p, after)
@@ -127,6 +128,56 @@ def test_mirror_carried_reports_read_like_standalone_ones(name, mirror_first):
     assert_read_like_standalone(second, after=first)
     if name == "rc5abc":
         assert_read_like_standalone(second, DiamondStatus.COUNTEREXAMPLE, after=first)
+
+
+def naive_class(relations, w) -> frozenset:
+    """The words reached from w by replacing an occurrence of one side of
+    a relation by the other, again and again: w's congruence class, finite
+    for a length-keeping presentation."""
+    seen, todo = {w}, [w]
+    while todo:
+        x = todo.pop()
+        for lhs, rhs in relations:
+            for a, b in ((lhs, rhs), (rhs, lhs)):
+                for i in range(len(x) - len(a) + 1):
+                    if x[i : i + len(a)] == a:
+                        y = x[:i] + b + x[i + len(a) :]
+                        if y not in seen:
+                            seen.add(y)
+                            todo.append(y)
+    return frozenset(seen)
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_counterexamples_hold_by_a_naive_closure(mirrored):
+    # Direct and orbit-carried counterexamples of restricted_colored(4,
+    # {a,b,c}), and mirror-carried ones of its mirror after it: the witness
+    # from (s, w) to (u1, v1) has s·v1 ≡ w·u1, and no grid from the other
+    # side of the relation has targets congruent to u1 and v1.
+    p = SPECS["rc4abc"]()
+    q = p.mirrored if mirrored else p
+    pairs = fresh_pairs(q, after=p if mirrored else None)
+    bad = [rep for rep in pairs if rep.status is DiamondStatus.COUNTEREXAMPLE]
+    paths = {"_carried" in vars(rep) for rep in bad}
+    assert paths == ({True} if mirrored else {False, True})
+    relations = [(rel.lhs, rel.rhs) for rel in q.relations]
+    classes: dict = {}
+
+    def congruent(x, y) -> bool:
+        if x not in classes:
+            classes.update(dict.fromkeys(naive_class(relations, x), x))
+        return classes.get(y) == classes[x]
+
+    for rep in bad:
+        backward = rep.direction == completeness.RHS_TO_LHS
+        sides = (rep.relation.lhs, rep.relation.rhs)
+        (s, w), (u1, v1) = rep.witness.source, rep.witness.target
+        assert s == (rep.generator,) and w == sides[backward]
+        assert congruent(s + v1, w + u1)
+        assert rep.dst_grids == rv.reverse_enumerate(q, s, sides[not backward]).grids
+        assert not any(
+            congruent(g.target[0], u1) and congruent(g.target[1], v1) for g in rep.dst_grids
+        )
 
 
 def test_without_a_self_mirror_run_the_mirror_is_checked_directly(monkeypatch):

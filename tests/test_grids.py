@@ -403,6 +403,37 @@ def test_grid_json_round_trip(colored42):
     assert {"left", "top", "kind", "right", "bottom"} <= set(doc["cells"][0])
 
 
+SPOILED_GRID_DOCUMENTS = {
+    "empty": (lambda doc: doc.clear(), rv.GridError),
+    "no source": (lambda doc: doc.pop("source"), rv.GridError),
+    "no target": (lambda doc: doc.pop("target"), rv.GridError),
+    "no cells": (lambda doc: doc.pop("cells"), rv.GridError),
+    "cells an int": (lambda doc: doc.update(cells=5), rv.GridError),
+    "cells a dict": (lambda doc: doc.update(cells={}), rv.GridError),
+    "source a string": (lambda doc: doc.update(source="s1"), rv.GridError),
+    "target of one side": (lambda doc: doc.update(target=[["s1"]]), rv.GridError),
+    "side a string": (lambda doc: doc["source"].__setitem__(1, "s2"), rv.GridError),
+    "cell side a string": (lambda doc: doc["cells"][0].__setitem__("right", "s1"), rv.GridError),
+    "cell without left": (lambda doc: doc["cells"][0].pop("left"), rv.GridError),
+    "unknown kind": (lambda doc: doc["cells"][0].update(kind="swap"), rv.GridError),
+    "cell an int": (lambda doc: doc["cells"].__setitem__(0, 5), rv.GridError),
+    # An unknown letter is the presentation's error.
+    "unknown letter": (lambda doc: doc["source"].__setitem__(1, ["s9"]), rv.PresentationError),
+}
+
+
+@pytest.mark.parametrize("case", list(SPOILED_GRID_DOCUMENTS))
+def test_malformed_grid_documents_raise_grid_error(braid3, case):
+    spoil, error = SPOILED_GRID_DOCUMENTS[case]
+    g = rv.reverse_enumerate(braid3, braid3.word("s1"), braid3.word("s2")).grids[0]
+    doc = rv.grid_to_json(g)
+    assert rv.grid_from_json(braid3, doc) == g
+    spoil(doc)
+    with pytest.raises(error) as caught:
+        rv.grid_from_json(braid3, doc)
+    assert error is rv.PresentationError or not isinstance(caught.value, rv.PresentationError)
+
+
 # ---------------------------------------------------------------------------
 # Target search.
 # ---------------------------------------------------------------------------

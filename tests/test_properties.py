@@ -2,7 +2,9 @@
 
 Presentations have 2-5 generator tokens drawn from the token grammar,
 weights 1-3, and relation sides of length 0-3, with repeated relations
-allowed.  Runs are derandomized, so every run checks the same examples.
+allowed; the grid square test draws homogeneous presentations with
+automorphisms (`strategies.symmetric_presentations`).  Runs are
+derandomized, so every run checks the same examples.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reversal as rv
+from strategies import symmetric_presentations
 
 # Generator tokens by the grammar [A-Za-z][A-Za-z0-9_.^-]*, at most 4 long.
 TOKENS = st.builds(
@@ -60,3 +63,18 @@ def test_grid_json_round_trips(p, data):
     for g in outcome.grids:
         doc = json.loads(json.dumps(rv.grid_to_json(g)))
         assert rv.grid_from_json(p, doc) == g
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(symmetric_presentations(), st.data())
+def test_enumerated_grids_replay_and_close_their_square(p, data):
+    # Every grid from (u, v), to (u1, v1), is a grid of p, is its own
+    # replay, and has u·v1 ≡ v·u1 by the bidirectional search.
+    word = st.lists(st.integers(0, len(p.letters) - 1), max_size=3).map(tuple)
+    u, v = data.draw(word), data.draw(word)
+    outcome = rv.reverse_enumerate(p, u, v, rv.Budget(max_cells=200, max_grids=20))
+    for g in outcome.grids:
+        assert rv.check_grid(p, g).ok
+        assert rv.replay(g) == g
+        u1, v1 = g.target
+        assert rv.are_equivalent(p, u + v1, v + u1).is_equivalent

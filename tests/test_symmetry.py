@@ -33,7 +33,7 @@ from reversal.completeness import (
     diamond_to_json,
 )
 from reversal.congruence import INFINITE, word_distance
-from reversal.symmetry import Symmetry, automorphism_relations, find_automorphisms
+from reversal.symmetry import automorphism_relations, find_automorphisms
 
 
 def scan_matching(p, rep, b) -> tuple:
@@ -189,7 +189,7 @@ def test_transported_grids_equal_enumeration_of_the_image():
         for p in (base, rv.mirror(base)):
             maps, exhaustive = find_automorphisms(p)
             assert exhaustive and len(maps) > 1, name
-            syms = Symmetry.of_run(symmetry._TileIndex(p), {})
+            (_, _, syms), = symmetry.carriers(p, {})
             assert len(syms) == len(maps) - 1, name
             grids = {}
 
@@ -222,8 +222,12 @@ def test_mirror_carried_grids_equal_enumeration_of_the_image():
     }
     for name, p in specs.items():
         q = p.mirrored
-        table, syms = symmetry.mirror_carriers(p, (), symmetry._TileIndex(q), {})
-        assert table == {} and len(syms) == len(p.orbits[0]) + 1 > 1, name
+        sources = symmetry.carriers(q, {}, (p, {}))
+        assert len(sources) == 2, name
+        table, _, syms = sources[0]
+        # Every pair of q is listed, its preimage's run recorded or not.
+        assert set(table) == {(s, rel.index) for s in range(len(q.letters)) for rel in q.relations}
+        assert len(syms) == len(p.orbits[0]) + 1 > 1, name
         for sym in (syms[0], syms[-1]):
             for s in range(len(p.letters)):
                 for rel in p.relations:
@@ -234,9 +238,9 @@ def test_mirror_carried_grids_equal_enumeration_of_the_image():
                         assert images == rv.reverse_enumerate(q, *source).grids, (
                             name, sym.sigma, s, rel.index
                         )
-    # No carriers where the identity is no isomorphism.
+    # No mirror source where the identity is no isomorphism: the own orbits only.
     m = rv.malcev()
-    assert symmetry.mirror_carriers(m, (), symmetry._TileIndex(m.mirrored), {}) is None
+    assert len(symmetry.carriers(m.mirrored, {}, (m, {}))) == 1
 
 
 def test_check_completeness_equals_standalone_diamonds():
