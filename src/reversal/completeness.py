@@ -19,7 +19,7 @@ grid are complete, that is the same as equal class keys: each complete
 class gets an id once per run, and a grid is keyed by the ids of its two
 targets' classes.  A grid with an incomplete class is compared by
 distances, grid by grid.  A run's `DiamondContext` computes each word's
-class map once and drops them all when the run ends.
+class map once.
 
 A run over all pairs checks one pair per orbit of the presentation's
 automorphisms and carries its reports to the rest of the orbit.  It
@@ -27,9 +27,10 @@ carries a pair from the first of its sources (`symmetry.carriers`) whose
 record holds the pair's representative: the cached run over the
 presentation's mirror, when there is one and the identity letter map
 verifies as an isomorphism from the mirror onto the presentation, then
-the run's own orbits.  A cache entry holds the report and the run's
-record, the reports and class keys of its recorded representatives; no
-run keeps a store of carried words.
+the run's own orbits.  The finished run's context is the cache entry: the
+report, the run's record (the reports and class keys of its recorded
+representatives), and its class maps and class ids.  No run keeps a store
+of carried words.
 
 The defect of a complete presentation is the worst, over all triples
 (s, relation, grid), of the best total distance between the outputs of the
@@ -37,7 +38,8 @@ grid and of an equivalent grid from the other side, read from the same
 distances.  A keyed grid is compared with the grids of its key only.  A
 report carried from a fully keyed representative is skipped: σ keeps
 distances, and the representative's reports come first, so they hold the
-first maximum.  The defect reads no carried grid.
+first maximum.  The defect reads no carried grid, and starts from copies
+of its run's class maps and class ids: it builds no map the run built.
 """
 
 from __future__ import annotations
@@ -49,14 +51,7 @@ from dataclasses import dataclass, fields, replace
 from functools import cached_property, partial
 from typing import Sequence
 
-from .congruence import (
-    Budget,
-    DEFAULT_BUDGET,
-    INFINITE,
-    ClassMap,
-    class_distances,
-    word_distance,
-)
+from .congruence import DEFAULT_BUDGET, INFINITE, Budget, ClassMap, class_distances, word_distance
 from .core import Presentation, Relation, Word
 from .grids import Grid, reverse_enumerate, reverse_targets
 from .symmetry import ClassKey, Pair, Record, Source, _Carried, carriers, first_index
@@ -181,17 +176,15 @@ class DiamondContext:
     """What the diamond checks of one run over a presentation share: the
     class maps and class ids, the sources it carries reports from (the
     mirror run, if it reads one, then its own orbits), and the grids of
-    the representatives checked so far.  It lives as long as the run, and
-    no class map outlives it; the representatives go to the cache entry."""
+    the representatives checked so far.  The finished run, with its report
+    and without its sources, is the cache entry."""
 
-    def __init__(
-        self, p: Presentation, b: Budget, mirror: tuple[Presentation, Record] | None = None
-    ) -> None:
+    def __init__(self, p: Presentation, b: Budget) -> None:
         self.p = p
         self.b = b
         # A finished run over p's mirror under b, that this run may read:
-        # its presentation and its `representatives`.
-        self.mirror = mirror
+        # its presentation and its `representatives`; set before it starts.
+        self.mirror: tuple[Presentation, Record] | None = None
         self.class_maps: dict[Word, ClassMap] = {}
         # Word -> id of its complete class, or None when its class map is
         # incomplete.
@@ -200,6 +193,7 @@ class DiamondContext:
         # (generator, relation index) of a checked representative -> its
         # two reports and the class keys of its two sides' grids.
         self.representatives: Record = {}
+        self.report: CompletenessReport | None = None  # once the run is done
 
     def class_map(self, w: Word) -> ClassMap:
         entry = self.class_maps.get(w)
@@ -343,8 +337,8 @@ def check_completeness(
     weight-homogeneity with positive integer weights.
 
     The last 32 runs are cached, one per (presentation, budget), however
-    the budget is passed: each entry holds the report and the run's
-    representatives.  A run over p reads the cached run over p's mirror
+    the budget is passed: each entry is the finished run, with its report,
+    representatives and class maps.  A run over p reads the cached run over p's mirror
     under the same budget, if there is one and the identity letter map
     verifies as an isomorphism from the mirror onto p, as in the braid
     monoids: every pair whose preimage that run recorded, or carried from
@@ -353,13 +347,12 @@ def check_completeness(
     a hit nor a miss.  `check_completeness.cache_clear()` drops every
     entry, and `check_completeness.cache_info()` counts as `lru_cache`
     does."""
-    return _RUNS.report(p, b)
+    return _RUNS.run(p, b).report
 
 
-def _check_completeness(
-    p: Presentation, b: Budget
-) -> tuple[CompletenessReport, Presentation, Record]:
-    """The report of a run over p, p itself, and the run's representatives."""
+def _check_completeness(p: Presentation, b: Budget) -> DiamondContext:
+    """A run over p: its context, holding the report, without its sources."""
+    run = DiamondContext(p, b)
     if p.epsilon_relations or not p.weight_homogeneous:
         reason = (
             "presentation has ε-relations; reversing does not apply"
@@ -367,12 +360,13 @@ def _check_completeness(
             else "presentation is not weight-homogeneous; no integer "
             "noetherianity witness"
         )
-        return CompletenessReport(Verdict.INCONCLUSIVE, (), "absent", reason), p, {}
+        run.report = CompletenessReport(Verdict.INCONCLUSIVE, (), "absent", reason)
+        return run
+    run.mirror = _RUNS.peek(p.mirrored, b)
     pairs: list[DiamondReport] = []
-    context = DiamondContext(p, b, _RUNS.peek(p.mirrored, b))
     for s in range(len(p.letters)):
         for rel in p.relations:
-            pairs += check_diamond(p, s, rel, b, context)
+            pairs += check_diamond(p, s, rel, b, run)
     statuses = {rep.status for rep in pairs}
     if DiamondStatus.COUNTEREXAMPLE in statuses:
         verdict = Verdict.INCOMPLETE
@@ -384,47 +378,48 @@ def _check_completeness(
         "weight-homogeneous with positive generator weights; "
         "the weighted length witnesses right noetherianity"
     )
-    report = CompletenessReport(verdict, tuple(pairs), witness_text)
-    return report, p, context.representatives
+    run.report = CompletenessReport(verdict, tuple(pairs), witness_text)
+    vars(run).pop("sources", None)  # only the run itself carries from them
+    return run
 
 
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 class _Runs:
-    """The cache of `check_completeness`: (presentation, budget) -> what
-    `_check_completeness` returned, the least recently used entry dropped
-    first past `maxsize`."""
+    """The cache of `check_completeness`: (presentation, budget) -> the
+    finished run's `DiamondContext`, never written once stored; the least
+    recently used entry is dropped first past `maxsize`."""
 
     def __init__(self, maxsize: int) -> None:
         self.maxsize = maxsize
         self.lock = threading.Lock()
-        self.entries: OrderedDict[tuple[Presentation, Budget], tuple] = OrderedDict()
+        self.entries: OrderedDict[tuple[Presentation, Budget], DiamondContext] = OrderedDict()
         self.hits = self.misses = 0
 
-    def report(self, p: Presentation, b: Budget) -> CompletenessReport:
+    def run(self, p: Presentation, b: Budget) -> DiamondContext:
         key = (p, b)
         with self.lock:
-            entry = self.entries.get(key)
-            if entry is not None:
+            run = self.entries.get(key)
+            if run is not None:
                 self.entries.move_to_end(key)
                 self.hits += 1
-                return entry[0]
+                return run
             self.misses += 1
-        entry = _check_completeness(p, b)
+        run = _check_completeness(p, b)
         with self.lock:
-            self.entries[key] = entry
+            self.entries[key] = run
             self.entries.move_to_end(key)
             if len(self.entries) > self.maxsize:
                 self.entries.popitem(last=False)
-        return entry[0]
+        return run
 
     def peek(self, p: Presentation, b: Budget) -> tuple[Presentation, Record] | None:
         """The presentation and representatives of the cached run over
         (p, b), if any; counted as neither hit nor miss, and not a use."""
         with self.lock:
-            entry = self.entries.get((p, b))
-        return None if entry is None else entry[1:]
+            run = self.entries.get((p, b))
+        return None if run is None else (run.p, run.representatives)
 
     def cache_clear(self) -> None:
         with self.lock:
@@ -510,7 +505,8 @@ def defect(p: Presentation, b: Budget = DEFAULT_BUDGET) -> DefectResult:
     """Max over (generator, relation, grid) of the min distance sum to an
     equivalent grid on the relation's other side; INFINITE when the
     presentation is not complete, None on budget exhaustion."""
-    report = check_completeness(p, b)
+    run = _RUNS.run(p, b)
+    report = run.report
     if report.verdict is Verdict.INCONCLUSIVE:
         return DefectResult(None, None)
     if report.verdict is Verdict.INCOMPLETE:
@@ -522,7 +518,9 @@ def defect(p: Presentation, b: Budget = DEFAULT_BUDGET) -> DefectResult:
     # σ keeps distances, so a report carried from a representative whose
     # grids all have keys has the value of one of the representative's
     # reports, which come first: it is skipped, and its grids are not read.
-    context = DiamondContext(p, b)
+    context = DiamondContext(p, b)  # from copies of the run's maps: the run is never written
+    context.class_maps, context.class_ids = dict(run.class_maps), dict(run.class_ids)
+    context.classes = run.classes
     keyed: dict[Pair, bool] = {}  # scanned pair -> whether its grids all have keys
     best: DefectWitness | None = None
     for rep in report.pairs:

@@ -21,7 +21,7 @@ the orbits of (generator, relation) pairs under them, see `symmetry`).
 Each is built lazily from the presentation alone and never changes; none
 caches a computed result.  They are not fields, so equality, `repr`,
 copies and pickles ignore them, and a derived presentation compiles its
-own, except that `mirrored` and its mirror share their orbit table.
+own, except that a presentation shares its orbit table with its mirror.
 """
 
 from __future__ import annotations

@@ -322,6 +322,8 @@ def carriers(
     if images is not None:
         source, recorded = mirror
         automorphisms, carried = source.orbits
+        if source == p.mirrored:  # an equal copy of p's mirror: its orbits are p's
+            vars(p).setdefault("orbits", source.orbits)
         origin = _TileIndex(source)
         # m∘σ maps a relation to m's image of its σ image, flipped where σ flips.
         pick = (images, tuple((j, 1 - flip) for j, flip in images))

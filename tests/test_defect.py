@@ -6,22 +6,28 @@ with the grids of its class key, and reads the grids of at most one
 carried report, the one that gives the witness.  These tests hold its
 value and witness to a plain scan of every grid of every report against
 every grid on the other side, check that a defect decided under a tight
-class budget is the one under the default budget, and that the default
-budget shares one cache entry however it is passed.
+class budget is the one under the default budget, that the default
+budget shares one cache entry however it is passed, that the defect
+builds no class map its cached run built, and that threads taking the
+defect of one cached run get the serial result and leave the run as it
+was.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import pickle
+import sys
+import threading
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reversal as rv
 from conftest import catalog_presentations
+from reversal import completeness
 from reversal.completeness import DefectResult, DefectWitness, DiamondContext, Verdict
-from reversal.congruence import INFINITE, word_distance
+from reversal.congruence import INFINITE, class_distances, word_distance
 from strategies import artin_presentations, symmetric_presentations
 
 
@@ -110,3 +116,63 @@ def test_the_default_budget_shares_one_cache_entry():
     assert rv.check_completeness.cache_info().currsize == 1
     rv.check_completeness.cache_clear()
     assert rv.check_completeness.cache_info().currsize == 0
+
+
+def test_the_defect_builds_no_class_map_its_run_built(monkeypatch):
+    # The defect starts from copies of the cached run's class maps: of the
+    # words whose maps the run built, it builds none again.
+    built = []
+    monkeypatch.setattr(
+        completeness, "class_distances", lambda p, w, b: built.append(w) or class_distances(p, w, b)
+    )
+    for p in (rv.colored_braid(4, ["a", "b"]), rv.colored_braid(3, ["a", "b", "c"])):
+        for q in (p, p.mirrored):
+            rv.check_completeness.cache_clear()
+            assert rv.check_completeness(q).verdict is Verdict.COMPLETE
+            by_run = set(built)
+            built.clear()
+            assert rv.defect(q).value is not None
+            assert not by_run & set(built), q
+            built.clear()
+    rv.check_completeness.cache_clear()
+
+
+def test_threads_share_one_cached_run():
+    # Four threads take the defect and the report of one cached run: each
+    # gets the serial results, and the run's class maps and ids stay as
+    # they were.
+    p = rv.colored_braid(4, ["a", "b", "c"])
+    rv.check_completeness.cache_clear()
+    report = rv.check_completeness(p)
+    run = completeness._RUNS.entries[p, rv.DEFAULT_BUDGET]
+    maps, ids, classes = dict(run.class_maps), dict(run.class_ids), run.classes
+    want = rv.defect(p)
+    assert want.value is not None and want.value > 0
+    results: list = [None] * 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        barrier = threading.Barrier(4)
+
+        def work(k: int) -> None:
+            barrier.wait()
+            results[k] = (rv.defect(p), rv.check_completeness(p))
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    for got, got_report in results:
+        assert got == want and pickle.dumps(got) == pickle.dumps(want)
+        assert got_report is report
+    assert completeness._RUNS.entries[p, rv.DEFAULT_BUDGET] is run
+    assert run.class_maps.keys() == maps.keys()
+    assert all(run.class_maps[w] is entry for w, entry in maps.items())
+    assert run.class_ids == ids and run.classes == classes
+    info = rv.check_completeness.cache_info()
+    assert (info.hits, info.misses) == (9, 1)
+    rv.check_completeness.cache_clear()

@@ -3,12 +3,14 @@
 Presentations have 2-5 generator tokens drawn from the token grammar,
 weights 1-3, and relation sides of length 0-3, with repeated relations
 allowed; the grid square test draws homogeneous presentations with
-automorphisms (`strategies.symmetric_presentations`).  Runs are
-derandomized, so every run checks the same examples.
+automorphisms (`strategies.symmetric_presentations`), and the word
+problem test Artin-type ones (`strategies.artin_presentations`).  Runs
+are derandomized, so every run checks the same examples.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import string
 
@@ -16,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reversal as rv
-from strategies import symmetric_presentations
+from reversal.completeness import Verdict
+from strategies import artin_presentations, symmetric_presentations
 
 # Generator tokens by the grammar [A-Za-z][A-Za-z0-9_.^-]*, at most 4 long.
 TOKENS = st.builds(
@@ -78,3 +81,20 @@ def test_enumerated_grids_replay_and_close_their_square(p, data):
         assert rv.replay(g) == g
         u1, v1 = g.target
         assert rv.are_equivalent(p, u + v1, v + u1).is_equivalent
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(artin_presentations())
+def test_reversing_decides_equivalence_on_complete_presentations(p):
+    # When the check is Complete, reversing agrees with the bidirectional
+    # search on every pair of words of length at most 3: an equivalent pair
+    # reverses to (ε, ε), and a decided answer is the search's.  A pair with
+    # no common multiple (Artin types that are not spherical) may reverse
+    # without end, so the target search may be cut there: None, not False.
+    if rv.check_completeness(p).verdict is not Verdict.COMPLETE:
+        return
+    words = [w for k in range(4) for w in itertools.product(range(len(p.letters)), repeat=k)]
+    for u, v in itertools.product(words, repeat=2):
+        equivalent = rv.are_equivalent(p, u, v).is_equivalent
+        decided = rv.decide_equiv_by_reversing(p, u, v)
+        assert decided is equivalent or (decided is None and not equivalent), (u, v)

@@ -6,7 +6,7 @@ and reports to the rest of the orbit; a run over a presentation's mirror
 carries reports from the run over the presentation.  These tests hold
 the carried reports to the direct ones: the verifier, within one
 presentation and between two, one search and one verification per
-presentation and its mirror, grid transport (along automorphisms and onto
+presentation and its mirror (or an equal copy of it), grid transport (along automorphisms and onto
 the mirror) against enumeration of the image, whole reports against
 standalone `check_diamond`
 and against matching by distances, random symmetric presentations, and a
@@ -175,6 +175,25 @@ def test_one_search_and_one_verification_per_presentation(monkeypatch):
     identity = tuple(range(len(p.letters)))
     assert verified == non_identity(search(p)[0]) + [identity] and len(verified) > 1
     assert indexed == [p, p.mirrored, p, p]
+
+
+def test_an_equal_copy_of_the_mirror_lends_its_orbits(monkeypatch):
+    # A run over q that reads the cached run over an equal copy of its
+    # mirror takes that copy's orbit table, which is q's, and the defect
+    # after it reads the same table: one automorphism search in all.
+    searched = []
+    search = find_automorphisms
+    monkeypatch.setattr(symmetry, "find_automorphisms", lambda p: searched.append(p) or search(p))
+    q = rv.colored_braid(4, ["a", "b"])
+    copy = rv.mirror(q)
+    assert copy == q.mirrored and copy is not q.mirrored
+    rv.check_completeness.cache_clear()
+    assert rv.check_completeness(copy).verdict is Verdict.COMPLETE
+    assert all("_carried" in vars(rep) for rep in rv.check_completeness(q).pairs)
+    assert rv.defect(q).value is not None
+    assert searched == [copy]
+    assert q.orbits is copy.orbits
+    rv.check_completeness.cache_clear()
 
 
 def test_transported_grids_equal_enumeration_of_the_image():
