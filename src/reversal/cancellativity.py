@@ -138,9 +138,9 @@ def right_lcm(
     """Deterministic reversing in a complemented complete presentation:
     the target (u1, v1), when it exists, makes u·v1 a right lcm.
 
-    The target comes from the target search's single-target loop, which
-    stops at the first stuck cell; `b.max_cells` bounds its reversing
-    steps, so ε and pass cells cost nothing."""
+    The target comes from reversing u⁻¹v cell by cell, which stops at the
+    first stuck cell, and from the memo search only when that takes over
+    `b.max_cells` reversing steps; ε and pass cells cost nothing."""
     if not is_right_complemented(p):
         raise PresentationError("right_lcm requires a right-complemented presentation")
     report = check_completeness(p, b)

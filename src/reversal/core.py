@@ -13,8 +13,9 @@ presented monoid; that is the only noetherianity witness this package
 supports.
 
 A presentation compiles what the algorithms look up over and over: its
-hash, its tile table (the tiles of each letter/letter grid cell) and
-whether it is deterministic (no cell has two tiles), its rewrite index
+hash, its tile table (the tiles of each letter/letter grid cell),
+whether it is deterministic (no cell has two tiles) and its reversal
+table (what each cell's tile pushes in reversing), its rewrite index
 (the oriented relations with distinct sides), its oriented relation
 pairs, its mirror and its orbit table (its verified automorphisms and
 the orbits of (generator, relation) pairs under them, see `symmetry`).
@@ -194,6 +195,19 @@ class Presentation:
         return all(len(ts) == 1 for ts in self.tile_table.values())
 
     @cached_property
+    def reversal_table(self) -> dict[int, tuple[int, ...]]:
+        """s·n + t (n letters) -> the signed letters that reversing s⁻¹t
+        with the first tile of its cell pushes onto a stack: the bottom
+        letters upright, then the right letters inverted (x as ~x), last
+        first.  Pairs with no tile are absent.  Reversing reads it when the
+        presentation is deterministic."""
+        n = len(self.letters)
+        return {
+            s * n + t: tile.bottom + tuple(~x for x in reversed(tile.right))
+            for (s, t), (tile, *_) in self.tile_table.items()
+        }
+
+    @cached_property
     def rewrite_index(self) -> tuple[tuple[str, int, Word], ...]:
         """(text of src, length of src, dst) for every oriented relation
         src = dst with src != dst, by relation index then orientation; see
@@ -261,9 +275,12 @@ class Presentation:
         return sum(self.weights[i] for i in w)
 
     def check_letters(self, *words: Word) -> None:
-        """Raise PresentationError unless every id in `words` is a letter."""
+        """Raise PresentationError unless every id in `words` is a letter:
+        an `int` (not a `bool`) below the number of letters."""
         for w in words:
             for i in w:
+                if not isinstance(i, int) or isinstance(i, bool):
+                    raise PresentationError(f"letter id {i!r} is not an int")
                 if not 0 <= i < len(self.letters):
                     raise PresentationError(f"unknown letter id {i}")
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -254,33 +254,42 @@ def reverse_complemented(
 # Target-set search.
 #
 # Deciding whether (u, v) reverses to some target (in particular to (ε, ε))
-# does not need the grids themselves.  The same recursion, memoized on
-# subproblems, computes the set of targets while sharing repeated ones; ε
-# segments can be dropped here because pass tiles never change the words.
-# Sharing sub-blocks across branches is what a grid filler must not do, so
-# this search has loops of its own.  `_single_targets` runs when no cell has
-# two tiles (`Presentation.deterministic`, as in braid monoids): subproblems
-# have at most one target, and open ones are tuple frames on one list.
-# `_target_sets` runs otherwise, with a generator per open subproblem.  Both
-# keep one memo on the same keys, visit the corner, then the block to its
-# right, then the block below, count a step before each tile, and cut
-# (unmemoized) a subproblem met inside itself, so their results agree.
+# does not need the grids themselves.  `_target_sets` runs the same
+# recursion, memoized on subproblems, and computes the set of targets while
+# sharing repeated ones; ε segments can be dropped here because pass tiles
+# never change the words.  Sharing sub-blocks across branches is what a
+# grid filler must not do, so this search has a loop of its own, with a
+# generator per open subproblem.  It visits the corner, then the block to
+# its right, then the block below, counts a step before each tile, and
+# cuts (unmemoized) a subproblem met inside itself.
 #
-# Words are hash-consed: id 0 is ε, and id i > 0 is the word whose first
-# letter is heads[i] and whose remainder has id tails[i].  A suffix is a
-# tail pointer and a subproblem key a pair of ints.  The u-side word of a
-# key is a suffix of u or of a tile's right output, and its v-side word a
-# suffix of v or a tile's bottom output followed by a v-side target, so a
-# u-side output a1·u1 never becomes part of a key.  `_single_targets`
-# therefore keeps v-side words hash-consed for the memo, but joins u-side
-# outputs as ropes in O(1) and spells them once, for the target it
-# returns.  `_target_sets` hash-conses both sides, because its target sets
-# need canonical ids to deduplicate and count toward max_grids.
+# When no cell has two tiles (`Presentation.deterministic`, as in braid
+# monoids), `_reverse` first reverses u⁻¹v as it stands: `_fill`'s cursor
+# on letters, ε dropped, no memo.  A pass that ends within max_cells cells
+# gives exactly the memo search's targets, stuck pairs and completeness.
+# Every distinct subproblem is one of its cells, so max_cells does not cut
+# the memo search; a subproblem met inside itself would make the pass run
+# forever, so no cycle cuts it; a subproblem has at most one target, so
+# max_grids (at least 1) does not either; and both stop at the same first
+# stuck cell.  Only `explored`, the count of distinct subproblems, is
+# beyond a pass without a memo: `_target_sets` counts it on first read, a
+# second search.  A pass that overruns max_cells is dropped for
+# `_target_sets`, so every budget keeps its meaning.
+#
+# `_target_sets` hash-conses words: id 0 is ε, and id i > 0 is the word
+# whose first letter is heads[i] and whose remainder has id tails[i].  A
+# suffix is a tail pointer, a subproblem key a pair of ints, and target
+# sets hold canonical ids, which deduplicate them and count toward
+# max_grids.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class TargetSearch:
+    """What `reverse_targets` found.  A result of the reversing pass counts
+    `explored` by the memo search when it is first read; it equals,
+    copies and pickles as that search's own result."""
+
     targets: frozenset[tuple[Word, Word]]
     complete: bool
     stuck: frozenset[tuple[int, int]]
@@ -288,6 +297,19 @@ class TargetSearch:
     # The first limit that cut the search: "max_cells", "max_grids" or
     # "cycle"; None when the search is complete.
     cut: str | None = None
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute not set: `explored` of a pass.
+        exact = None if name == "_exact" else getattr(self, "_exact", None)
+        if exact is None or name != "explored":
+            return object.__getattribute__(self, name)  # set meanwhile, or absent
+        object.__setattr__(self, name, _target_sets(*exact).explored)
+        vars(self).pop("_exact", None)
+        return self.explored
+
+    def __getstate__(self) -> dict:
+        # The fields in field order, as an eager result pickles and copies.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def reverse_targets(
@@ -299,16 +321,57 @@ def reverse_targets(
     applications, one per letter/letter cell of a distinct subproblem), a
     target-set cap (max_grids), or a cyclic subproblem cut the search; a
     True value certifies the target set is exhaustive.  `cut` names the
-    first of these that fired.  `explored` is the number of steps taken.
-    """
+    first of these that fired.  `explored` is the number of steps the memo
+    search takes.
+
+    On a deterministic presentation a reversing pass that ends within
+    max_cells cells gives the result, and reading its `explored` runs the
+    memo search; otherwise the memo search gives the result."""
     _require_reversible(p, u, v)
-    search = _single_targets if p.deterministic else _target_sets
-    return search(p, u, v, b)
+    ends = _reverse(p, u, v, b.max_cells) if p.deterministic else None
+    if ends is None:
+        return _target_sets(p, u, v, b)
+    search = object.__new__(TargetSearch)
+    targets, stuck = ends
+    vars(search).update(
+        targets=targets, complete=True, stuck=stuck, cut=None, _exact=(p, u, v, b)
+    )
+    return search
 
 
-def _words(n: int) -> tuple[list[int], list[int], Callable, Callable]:
-    """A new hash-consed word store over n letters: (heads, tails, prepend,
-    spell)."""
+def _reverse(
+    p: Presentation, u: Word, v: Word, max_cells: int
+) -> tuple[frozenset, frozenset] | None:
+    """The targets and stuck pairs of (u, v) on a deterministic
+    presentation, by reversing u⁻¹v; None if that takes over max_cells
+    cells.  As in `_fill`, `before` holds the signed letters left of the
+    cursor, the nearest on top, an upright x as x and an inverted one as
+    ~x; `after` the letters right of it, leftmost on top; and `right` the
+    finished right side."""
+    n, table = len(p.letters), p.reversal_table
+    before, after, right = [~x for x in reversed(u)], list(reversed(v)), []
+    cells = 0
+    while before:
+        x = before.pop()
+        if x >= 0:
+            after.append(x)
+        elif not after:
+            right.append(~x)
+        else:
+            t = after.pop()
+            pushed = table.get(~x * n + t)
+            if pushed is None:
+                return frozenset(), frozenset({(~x, t)})
+            cells += 1
+            if cells > max_cells:
+                return None
+            before += pushed
+    return frozenset({(tuple(right), tuple(reversed(after)))}), frozenset()
+
+
+def _target_sets(p: Presentation, u: Word, v: Word, b: Budget) -> TargetSearch:
+    """`reverse_targets` by the memo search, on any presentation."""
+    n = len(p.letters)
     heads, tails = [-1], [0]
     interned: dict[int, int] = {}  # i * n + letter -> id of letter·(word i)
 
@@ -331,12 +394,6 @@ def _words(n: int) -> tuple[list[int], list[int], Callable, Callable]:
             i = tails[i]
         return tuple(out)
 
-    return heads, tails, prepend, spell
-
-
-def _target_sets(p: Presentation, u: Word, v: Word, b: Budget) -> TargetSearch:
-    """`reverse_targets` on any presentation."""
-    heads, tails, prepend, spell = _words(len(p.letters))
     done: dict[tuple[int, int], frozenset[tuple[int, int]]] = {}
     active: set[tuple[int, int]] = set()
     stuck: set[tuple[int, int]] = set()
@@ -393,90 +450,6 @@ def _target_sets(p: Presentation, u: Word, v: Word, b: Budget) -> TargetSearch:
         else:
             pairs = frozenset((spell(a), spell(c)) for a, c in result)
             return TargetSearch(pairs, cut is None, frozenset(stuck), steps, cut)
-
-
-_NEW, _OPEN = object(), object()  # memo marks: not met yet, still open
-
-
-def _single_targets(p: Presentation, u: Word, v: Word, b: Budget) -> TargetSearch:
-    """`reverse_targets` when every cell has at most one tile.
-
-    A subproblem's result is None or its one target (u1, v1), so max_grids,
-    at least 1, never cuts it.  v1 is a word id; u1 is a rope: a word id,
-    or a pair (left rope, right rope) of two nonempty ropes.  An open
-    subproblem is a frame: (key, tile) waits for the block right of its
-    corner, (key, tile, a1) for the block below."""
-    heads, tails, prepend, spell = _words(len(p.letters))
-    table = p.tile_table
-    # (s, t) -> (its tile, id of the tile's right output), or None: stuck.
-    cells: dict[tuple[int, int], tuple[Tile, int] | None] = {}
-    memo: dict = {}  # key -> None, its target, or _OPEN
-    stuck: set[tuple[int, int]] = set()
-    steps, cut = 0, None
-    frames: list[tuple] = []  # innermost last
-    key = (prepend(u, 0), prepend(v, 0))
-    while True:
-        result = memo.get(key, _NEW)
-        if result is _OPEN:
-            cut = cut or "cycle"
-            result = None
-        elif result is _NEW:
-            uu, vv = key
-            if not uu or not vv:
-                result = memo[key] = key
-            else:
-                pair = (heads[uu], heads[vv])
-                cell = cells.get(pair, _NEW)
-                if cell is _NEW:
-                    options = table.get(pair)
-                    if options is not None:
-                        options = (options[0], prepend(options[0].right, 0))
-                    cell = cells[pair] = options
-                if cell is None:
-                    stuck.add(pair)
-                else:
-                    steps += 1
-                    if steps <= b.max_cells:
-                        memo[key] = _OPEN
-                        frames.append((key, cell[0]))
-                        key = (cell[1], tails[vv])
-                        continue
-                    cut = cut or "max_cells"
-                result = memo[key] = None
-        # Hand the result to the innermost frame, closing those it
-        # completes, until one asks for its block below.
-        while frames:
-            frame = frames.pop()
-            if len(frame) == 3:  # back from the block below
-                if result is not None:
-                    a1, u1 = frame[2], result[0]
-                    result = ((a1, u1) if a1 and u1 else a1 or u1), result[1]
-                memo[frame[0]] = result
-            elif result is None:  # no target right of the corner
-                memo[frame[0]] = None
-            else:
-                (uu, _), tile = frame
-                frames.append((frame[0], tile, result[0]))
-                key = (tails[uu], prepend(tile.bottom, result[1]))
-                break
-        else:
-            pairs = frozenset()
-            if result is not None:
-                pairs = frozenset({(_unrope(spell, result[0]), spell(result[1]))})
-            return TargetSearch(pairs, cut is None, frozenset(stuck), steps, cut)
-
-
-def _unrope(spell: Callable, rope) -> Word:
-    """The word a rope spells, walked without recursion."""
-    out: list[int] = []
-    todo = [rope]
-    while todo:
-        node = todo.pop()
-        if type(node) is tuple:
-            todo += node[1], node[0]
-        else:
-            out += spell(node)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The compiled data of a presentation: its cached hash, tile table,
-deterministic flag, rewrite index, mirror and orbit table.
+deterministic flag, reversal table, rewrite index, mirror and orbit
+table.
 
 The indexes must give exactly what a scan over all relations gives, in
 the same order; the scans below are kept as the reference.  The hash and
@@ -121,6 +122,21 @@ def test_mirrored_is_the_mirror_built_once(name):
     assert p.mirrored.mirrored == p
 
 
+@pytest.mark.parametrize("name", sorted(catalog_presentations()))
+def test_reversal_table_pushes_each_cells_first_tile(name):
+    # Bottom letters upright, then right letters inverted, last first: the
+    # signed word b·r⁻¹ that replaces s⁻¹t, its rightmost letter on top.
+    p = catalog_presentations()[name]
+    n = len(p.letters)
+    expected = {}
+    for s in range(n):
+        for t in range(n):
+            tiles = scan_letter_tiles(p, s, t)
+            if tiles:
+                expected[s * n + t] = tiles[0].bottom + tuple(~x for x in tiles[0].right[::-1])
+    assert p.reversal_table == expected
+
+
 def test_replaced_presentation_compiles_its_own(colored42):
     p = colored42
     hash(p), p.tile_table, p.rewrite_index
@@ -138,10 +154,12 @@ def test_replaced_presentation_compiles_its_own(colored42):
 def test_compiled_data_is_not_part_of_the_value(colored42):
     fresh = rv.colored_braid(4, ["a", "b"])
     compiled = {
-        "_hash", "tile_table", "deterministic", "rewrite_index", "mirrored", "orbits"
+        "_hash", "tile_table", "deterministic", "reversal_table", "rewrite_index",
+        "mirrored", "orbits",
     }
     hash(colored42), colored42.tile_table, colored42.rewrite_index
-    colored42.deterministic, colored42.mirrored, colored42.orbits
+    colored42.deterministic, colored42.reversal_table, colored42.mirrored
+    colored42.orbits
     assert colored42 == fresh
     assert repr(colored42) == repr(fresh)
     for name in compiled:

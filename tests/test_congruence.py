@@ -217,6 +217,18 @@ def test_unknown_letter_ids_are_rejected(braid4):
             rv.equivalence_class(braid4, bad)
 
 
+def test_letter_ids_must_be_ints(braid3):
+    # The same rule as for budget limits: a float or a bool is no letter id,
+    # although 1.0 == 1 and True == 1.
+    for bad in ("ab", (1.0,), (True,), (0, False), (None,)):
+        with pytest.raises(rv.PresentationError, match="is not an int"):
+            rv.right_lcm(braid3, bad, (0,))
+        with pytest.raises(rv.PresentationError, match="is not an int"):
+            rv.reverse_targets(braid3, (0,), bad)
+        with pytest.raises(rv.PresentationError, match="is not an int"):
+            rv.are_equivalent(braid3, bad, (0,))
+
+
 def test_word_distance_reads_either_class_map():
     # Under a tight class budget, a pair that w1's partial class map leaves
     # open can be decided by w2's; every decided value is exact, and only

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
+import pickle
 import random
+import sys
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -560,33 +564,44 @@ def single_loop_cases(p, u, v):
         rv.Budget(max_cells=1),
         rv.Budget(max_cells=max(1, explored // 2)),
         rv.Budget(max_cells=max(1, explored - 1)),
+        rv.Budget(max_cells=max(1, explored)),
         rv.Budget(max_grids=1),
     ]
 
 
 def assert_loops_agree(p, u, v, b) -> grids.TargetSearch:
+    """`reverse_targets` equals the generator loop field for field: before
+    `explored` is read, and then as a whole."""
     general = grids._target_sets(p, u, v, b)
-    single = grids._single_targets(p, u, v, b)
-    assert single == general, (p.letters, u, v, b)
-    assert rv.reverse_targets(p, u, v, b) == single
-    return single
+    search = rv.reverse_targets(p, u, v, b)
+    fields = ("targets", "complete", "stuck", "cut")
+    assert [getattr(search, f) for f in fields] == [getattr(general, f) for f in fields]
+    assert search == general, (p.letters, u, v, b)
+    return search
 
 
 def test_single_target_loop_equals_the_generator_loop():
     cyclic = rv.make_presentation(["a", "b"], [("a b", "b b a")])
     a, ba = cyclic.word("a"), cyclic.word("b a")
+    # The subproblem (a, b a) comes back inside itself: the pass overruns
+    # any budget, and the generator loop cuts the cycle.
+    assert grids._reverse(cyclic, a, ba, 10_000) is None
     assert assert_loops_agree(cyclic, a, ba, rv.DEFAULT_BUDGET).cut == "cycle"
-    cuts, compared = Counter(), 0
+    cuts, compared, overruns = Counter(), 0, 0
     for p in [rv.braid(n) for n in (3, 4, 5, 6)] + [cyclic]:
         assert p.deterministic
         rng = random.Random(f"single-loop:{p.letters}")
         for _ in range(250):
             u, v = rand_word(rng, p, 10), rand_word(rng, p, 10)
             for b in single_loop_cases(p, u, v):
-                cuts[assert_loops_agree(p, u, v, b).cut] += 1
+                search = assert_loops_agree(p, u, v, b)
+                cuts[search.cut] += 1
                 compared += 1
-    assert compared == 6_250
-    assert cuts[None] and cuts["max_cells"] and cuts["cycle"]
+                # A pass that meets repeated subproblems again may overrun
+                # a budget under which the generator loop completes.
+                overruns += search.complete and grids._reverse(p, u, v, b.max_cells) is None
+    assert compared == 7_500
+    assert cuts[None] and cuts["max_cells"] and cuts["cycle"] and overruns == 279
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -597,6 +612,78 @@ def test_single_target_loop_equals_the_generator_loop_on_artin_presentations(p, 
         u, v = rand_word(rng, p, 8), rand_word(rng, p, 8)
         for b in single_loop_cases(p, u, v):
             assert_loops_agree(p, u, v, b)
+
+
+def garside_pair(p, n):
+    """Δ of strands 1..n-1 and Δ of strands 2..n in braid(n)."""
+    return [
+        p.word([f"s{offset + j}" for i in range(1, n - 1) for j in range(i, 0, -1)])
+        for offset in (0, 1)
+    ]
+
+
+def test_lcms_run_no_exact_search_until_explored_is_read(monkeypatch):
+    p = rv.braid(6)
+    u, v = garside_pair(p, 6)
+    calls = Counter()
+    exact = grids._target_sets
+
+    def counted(*args):
+        calls["exact"] += 1
+        return exact(*args)
+
+    monkeypatch.setattr(grids, "_target_sets", counted)
+    lcm = rv.right_lcm(p, u, v)
+    assert lcm.kind is MultipleKind.LCM and len(lcm.multiple) == 15
+    assert rv.common_right_multiple(p, u, v).multiple == lcm.multiple
+    assert calls["exact"] == 0
+    search = rv.reverse_targets(p, u, v)
+    assert search.targets == {lcm.complements} and calls["exact"] == 0
+    assert search.explored == exact(p, u, v, rv.DEFAULT_BUDGET).explored
+    search.explored, pickle.dumps(search), repr(search)
+    assert calls["exact"] == 1
+
+
+def test_a_lazy_result_equals_an_eager_one():
+    p = rv.braid(5)
+    u, v = p.word("s1 s2 s3 s4 s1 s2"), p.word("s4 s3 s2 s1 s3")
+    eager = grids._target_sets(p, u, v, rv.DEFAULT_BUDGET)
+
+    def lazy():
+        search = rv.reverse_targets(p, u, v)
+        assert "explored" not in vars(search)
+        return search
+
+    assert lazy() == eager and hash(lazy()) == hash(eager)
+    assert repr(lazy()) == repr(eager)
+    for clone in (copy.copy(lazy()), copy.deepcopy(lazy()), dataclasses.replace(lazy())):
+        assert clone == eager and vars(clone) == vars(eager)
+    assert pickle.dumps(lazy()) == pickle.dumps(eager)
+    read = lazy()
+    assert read.explored == eager.explored and "_exact" not in vars(read)
+    assert pickle.dumps(read) == pickle.dumps(eager)
+    with pytest.raises(AttributeError):
+        read.missing
+    # Threads reading one lazy result all see the eager values.
+    expected = (eager.explored, pickle.dumps(eager), repr(eager), hash(eager))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            shared, seen = lazy(), []
+
+            def reader():
+                seen.append((shared.explored, pickle.dumps(shared), repr(shared), hash(shared)))
+
+            threads = [threading.Thread(target=reader) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert seen == [expected] * 4
+    finally:
+        sys.setswitchinterval(interval)
 
 
 LOW_BUDGETS = st.builds(
@@ -610,8 +697,8 @@ LOW_BUDGETS = st.builds(
 def test_raising_the_target_search_budget_never_flips_an_answer(
     loop, low, more_cells, more_grids, data
 ):
-    # "sets" runs the generator loop on every presentation, so both loops
-    # see the deterministic ones.
+    # "sets" makes every reversing pass overrun, so the generator loop runs
+    # on every presentation and both paths see the deterministic ones.
     if loop == "single":
         p = data.draw(artin_presentations())
     else:
@@ -626,7 +713,7 @@ def test_raising_the_target_search_budget_never_flips_an_answer(
     )
     with pytest.MonkeyPatch.context() as mp:
         if loop == "sets":
-            mp.setattr(grids, "_single_targets", grids._target_sets)
+            mp.setattr(grids, "_reverse", lambda *args: None)
         searches = [rv.reverse_targets(p, u, v, b) for b in (low, high)]
         answers = [rv.decide_equiv_by_reversing(p, u, v, b) for b in (low, high)]
         lcms = [rv.right_lcm(p, u, v, b) for b in (low, high)] if complemented else []
@@ -669,8 +756,9 @@ def test_grid_operations_on_20000_cells(braid4):
 
 
 def test_single_target_loop_spells_long_words_without_recursion(braid4):
-    # A u-side target of 20,000 letters is joined as a rope nested 20,000
-    # deep, and spelled by a walk that must not recurse.
+    # The reversing pass builds a u-side target of 20,000 letters on a
+    # stack, and the generator loop reads its explored count without
+    # recursion.
     s1, s2, s3 = (braid4.letter(x) for x in ("s1", "s2", "s3"))
     long = (s1,) * 20_000
     budget = rv.Budget(max_cells=1_000_000)
