@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import Presentation, PresentationError, make_presentation
 
@@ -56,24 +56,30 @@ def _color_tokens(n: int, colors: Sequence[str]) -> list[str]:
     return [f"s{i}.{c}" for i in range(1, n) for c in colors]
 
 
+def _colored(
+    n: int, colors: Sequence[str], adjacent: Callable[[int, int], Iterable[tuple]]
+) -> Presentation:
+    """Colored crossings on n strands: distant crossings commute colorwise,
+    and `adjacent(i, i + 1)` gives the relations of adjacent positions, as
+    (lhs, rhs) token lists."""
+    gens = _color_tokens(n, colors)
+    rels: list[tuple[list[str], list[str]]] = []
+    for i in range(1, n - 1):
+        rels += adjacent(i, i + 1)
+        for j in range(i + 2, n):
+            for a, b in product(colors, repeat=2):
+                rels.append(([f"s{i}.{a}", f"s{j}.{b}"], [f"s{j}.{b}", f"s{i}.{a}"]))
+    return make_presentation(gens, rels)
+
+
 def colored_braid(n: int, colors: Sequence[str]) -> Presentation:
     """Positive braids with colored crossings: distant crossings commute
     colorwise, and adjacent positions satisfy the color-permuting
     relations si.A sj.B si.C = sj.C si.B sj.A."""
-    gens = _color_tokens(n, colors)
-    rels: list[tuple[list[str], list[str]]] = []
-    for i in range(1, n - 1):
-        for j in range(i + 1, n):
-            if j - i >= 2:
-                for a, b in product(colors, repeat=2):
-                    rels.append(([f"s{i}.{a}", f"s{j}.{b}"], [f"s{j}.{b}", f"s{i}.{a}"]))
-            else:
-                for a, b, c in product(colors, repeat=3):
-                    lhs = [f"s{i}.{a}", f"s{j}.{b}", f"s{i}.{c}"]
-                    rhs = [f"s{j}.{c}", f"s{i}.{b}", f"s{j}.{a}"]
-                    if lhs != rhs:
-                        rels.append((lhs, rhs))
-    return make_presentation(gens, rels)
+    return _colored(n, colors, lambda i, j: (
+        ([f"s{i}.{a}", f"s{j}.{b}", f"s{i}.{c}"], [f"s{j}.{c}", f"s{i}.{b}", f"s{j}.{a}"])
+        for a, b, c in product(colors, repeat=3)
+    ))
 
 
 def restricted_colored(n: int, colors: Sequence[str]) -> Presentation:
@@ -83,21 +89,11 @@ def restricted_colored(n: int, colors: Sequence[str]) -> Presentation:
     orders of an adjacent position pair give genuinely different
     relations, so both are enumerated (single-color duplicates are
     deduplicated by construction)."""
-    gens = _color_tokens(n, colors)
-    rels: list[tuple[list[str], list[str]]] = []
-    for i in range(1, n - 1):
-        for j in range(i + 1, n):
-            if j - i >= 2:
-                for a, b in product(colors, repeat=2):
-                    rels.append(([f"s{i}.{a}", f"s{j}.{b}"], [f"s{j}.{b}", f"s{i}.{a}"]))
-            else:
-                for ii, jj in ((i, j), (j, i)):
-                    for a, b in product(colors, repeat=2):
-                        lhs = [f"s{ii}.{a}", f"s{jj}.{a}", f"s{ii}.{b}"]
-                        rhs = [f"s{jj}.{b}", f"s{ii}.{a}", f"s{jj}.{a}"]
-                        if lhs != rhs:
-                            rels.append((lhs, rhs))
-    return make_presentation(gens, rels)
+    return _colored(n, colors, lambda i, j: (
+        ([f"s{x}.{a}", f"s{y}.{a}", f"s{x}.{b}"], [f"s{y}.{b}", f"s{x}.{a}", f"s{y}.{a}"])
+        for x, y in ((i, j), (j, i))
+        for a, b in product(colors, repeat=2)
+    ))
 
 
 def malcev() -> Presentation:

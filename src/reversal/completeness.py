@@ -53,7 +53,7 @@ from typing import Sequence
 
 from .congruence import DEFAULT_BUDGET, INFINITE, Budget, ClassMap, class_distances, word_distance
 from .core import Presentation, Relation, Word
-from .grids import Grid, reverse_enumerate, reverse_targets
+from .grids import Grid, grid_to_json, reverse_enumerate, reverse_targets
 from .symmetry import ClassKey, Pair, Record, Source, _Carried, carriers, first_index
 
 LHS_TO_RHS = "lhs->rhs"
@@ -544,8 +544,6 @@ def defect(p: Presentation, b: Budget = DEFAULT_BUDGET) -> DefectResult:
 
 
 def diamond_to_json(p: Presentation, rep: DiamondReport) -> dict:
-    from .grids import grid_to_json
-
     doc: dict = {
         "generator": p.letters[rep.generator],
         "relation_index": rep.relation.index,
@@ -569,8 +567,6 @@ def completeness_to_json(p: Presentation, report: CompletenessReport) -> dict:
 
 
 def defect_to_json(p: Presentation, result: DefectResult) -> dict:
-    from .grids import grid_to_json
-
     if result.value is None:
         value: object = None
     elif result.value == INFINITE:

@@ -190,8 +190,9 @@ class Presentation:
 
     @cached_property
     def deterministic(self) -> bool:
-        """Whether no letter/letter cell has two tiles; without ε-relations,
-        whether the presentation is right complemented."""
+        """Whether no letter/letter cell has two tiles; without ε-relations
+        and without `1 = 1`, whether the presentation is right complemented
+        (see `is_right_complemented`)."""
         return all(len(ts) == 1 for ts in self.tile_table.values())
 
     @cached_property
@@ -471,19 +472,14 @@ def left_cancel_conflicts(p: Presentation) -> tuple[Relation, ...]:
 
 def is_right_complemented(p: Presentation) -> bool:
     """At most one relation `s... = t...` per unordered generator pair, and
-    none with both sides starting with the same letter."""
-    seen: set[frozenset[int]] = set()
-    for r in p.relations:
-        if not r.lhs or not r.rhs:
-            return False
-        s, t = r.lhs[0], r.rhs[0]
-        if s == t:
-            return False
-        pair = frozenset((s, t))
-        if pair in seen:
-            return False
-        seen.add(pair)
-    return True
+    none with an empty side or with both sides starting with the same
+    letter: no cell has two tiles, and no relation is an ε-relation or
+    `1 = 1` (which places no tile)."""
+    return (
+        p.deterministic
+        and not p.epsilon_relations
+        and (EPSILON, EPSILON) not in p.oriented_relations
+    )
 
 
 def validate(p: Presentation) -> list[Diagnostic]:

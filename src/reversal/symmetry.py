@@ -44,7 +44,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .core import Presentation, Relation, Tile, Word
 from .grids import Grid, tiles
@@ -230,11 +230,6 @@ class _TileIndex:
         return out
 
     @cached_property
-    def positions(self) -> dict[int, int]:
-        """id of each tile -> its position in `all_tiles`."""
-        return {id(t): i for i, t in enumerate(self.all_tiles)}
-
-    @cached_property
     def ranks(self) -> dict[int, int]:
         """id of each tile -> its rank by `Tile.key`, so that tuples of
         ranks sort as `Grid.trace_key` does."""
@@ -264,33 +259,29 @@ class Symmetry:
         return tuple(map(self.sigma.__getitem__, w))
 
     @cached_property
-    def tile_maps(self) -> tuple[list[Tile], list[int]]:
-        """By position in the source index: the image of each source tile,
-        the target's own, and that image's rank."""
+    def tile_maps(self) -> tuple[dict[int, Tile], dict[int, int]]:
+        """id of each source tile -> its image, the target's own tile; and
+        id of each source tile -> that image's rank."""
         p, sigma, by_relation = self.target.p, self.sigma, self.target.by_relation
-        image_of: list[Tile] = []
+        image_of: dict[int, Tile] = {}
         for t in self.source.all_tiles:
             if t.rel_index is not None:
                 index, flip = self.images[t.rel_index]
-                image_of.append(by_relation[index, t.orientation ^ flip])
+                image_of[id(t)] = by_relation[index, t.orientation ^ flip]
             else:  # a cancellation or forced tile, the only one of its cell
                 left = None if t.left is None else sigma[t.left]
                 top = None if t.top is None else sigma[t.top]
-                image_of.append(tiles(p, left, top)[0])
+                image_of[id(t)] = tiles(p, left, top)[0]
         ranks = self.target.ranks
-        return image_of, [ranks[id(image)] for image in image_of]
-
-    def _positions(self, g: Grid) -> Iterator[int]:
-        """The source positions of g's tiles."""
-        return map(self.source.positions.__getitem__, map(id, g.cells))
+        return image_of, {k: ranks[id(image)] for k, image in image_of.items()}
 
     def rank(self, g: Grid) -> tuple[int, ...]:
         """The ranks of the image's tiles: images sort by it as by trace."""
-        return tuple(map(self.tile_maps[1].__getitem__, self._positions(g)))
+        return tuple(map(self.tile_maps[1].__getitem__, map(id, g.cells)))
 
     def grid(self, g: Grid, source: tuple[Word, Word]) -> Grid:
         """The image of g, from `source`."""
-        cells = tuple(map(self.tile_maps[0].__getitem__, self._positions(g)))
+        cells = tuple(map(self.tile_maps[0].__getitem__, map(id, g.cells)))
         return Grid(self.target.p.letters, source, tuple(map(self.word, g.target)), cells)
 
     def grids(

@@ -284,3 +284,32 @@ def test_relation_with_one_head_is_not_right_complemented():
         rv.right_lcm(p, (a,), (a,))
     with pytest.raises(rv.PresentationError, match="complemented"):
         rv.reverse_complemented(p, (a,), (a,))
+
+
+def test_relation_one_equals_one_is_not_right_complemented():
+    # `1 = 1` places no tile and is no ε-relation, so the tile table alone
+    # would call this presentation deterministic.
+    p = rv.parse_presentation("gens: a b\nrel: 1 = 1\nrel: a b = b a")
+    assert p.deterministic and not p.epsilon_relations
+    assert not rv.is_right_complemented(p)
+    assert [(d.kind, d.message, d.relation_index) for d in rv.validate(p)] == [
+        (
+            "weight-homogeneous",
+            "all relations are weight-balanced; weighted length witnesses "
+            "right noetherianity",
+            None,
+        ),
+        (
+            "not-right-complemented",
+            "some generator pair heads more than one relation "
+            "(or a relation heads both sides with one letter)",
+            None,
+        ),
+    ]
+    a = p.letter("a")
+    with pytest.raises(
+        rv.PresentationError, match="^right_lcm requires a right-complemented presentation$"
+    ):
+        rv.right_lcm(p, (a,), (a,))
+    with pytest.raises(rv.PresentationError, match="^presentation is not right complemented$"):
+        rv.reverse_complemented(p, (a,), (a,))

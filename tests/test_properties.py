@@ -4,8 +4,9 @@ Presentations have 2-5 generator tokens drawn from the token grammar,
 weights 1-3, and relation sides of length 0-3, with repeated relations
 allowed; the grid square test draws homogeneous presentations with
 automorphisms (`strategies.symmetric_presentations`), and the word
-problem test Artin-type ones (`strategies.artin_presentations`).  Runs
-are derandomized, so every run checks the same examples.
+problem tests draw Artin-type ones (`strategies.artin_presentations`)
+and those.  Runs are derandomized, so every run checks the same
+examples.
 """
 
 from __future__ import annotations
@@ -98,3 +99,43 @@ def test_reversing_decides_equivalence_on_complete_presentations(p):
         equivalent = rv.are_equivalent(p, u, v).is_equivalent
         decided = rv.decide_equiv_by_reversing(p, u, v)
         assert decided is equivalent or (decided is None and not equivalent), (u, v)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(symmetric_presentations())
+def test_reversing_decides_equivalence_on_complete_symmetric_presentations(p):
+    # The same agreement.  Unlike the Artin types, many of these have
+    # several tiles in some cell, so the memo search answers there.
+    # Completeness is checked under a small budget: at the default one,
+    # some draws take far longer.
+    budget = rv.Budget(max_cells=200, max_grids=200)
+    if rv.check_completeness(p, budget).verdict is not Verdict.COMPLETE:
+        return
+    words = [w for k in range(4) for w in itertools.product(range(len(p.letters)), repeat=k)]
+    for u, v in itertools.product(words, repeat=2):
+        equivalent = rv.are_equivalent(p, u, v).is_equivalent
+        decided = rv.decide_equiv_by_reversing(p, u, v)
+        assert decided is equivalent or (decided is None and not equivalent), (u, v)
+
+
+def _right_complemented_by_scan(p: rv.Presentation) -> bool:
+    # The definition, relation by relation: at most one relation
+    # `s... = t...` per unordered letter pair, none with an empty side or
+    # with both sides starting with the same letter.
+    seen: set[frozenset[int]] = set()
+    for r in p.relations:
+        if not r.lhs or not r.rhs or r.lhs[0] == r.rhs[0]:
+            return False
+        pair = frozenset((r.lhs[0], r.rhs[0]))
+        if pair in seen:
+            return False
+        seen.add(pair)
+    return True
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(presentations())
+def test_right_complemented_from_compiled_data_matches_the_scan(p):
+    # Sides have length 0-3, so ε-relations and `1 = 1` both occur.
+    for q in (p, p.mirrored):
+        assert rv.is_right_complemented(q) is _right_complemented_by_scan(q)
