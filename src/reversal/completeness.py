@@ -27,10 +27,11 @@ carries a pair from the first of its sources (`symmetry.carriers`) whose
 record holds the pair's representative: the cached run over the
 presentation's mirror, when there is one and the identity letter map
 verifies as an isomorphism from the mirror onto the presentation, then
-the run's own orbits.  The finished run's context is the cache entry: the
-report, the run's record (the reports and class keys of its recorded
-representatives), and its class maps and class ids.  No run keeps a store
-of carried words.
+the run's own orbits.  Their tables and symmetries are compiled data of
+the presentation, and a run adds its record.  The finished run's context
+is the cache entry: the report, the run's record (the reports and class
+keys of its recorded representatives), and its class maps and class ids.
+No run keeps a store of carried words.
 
 The defect of a complete presentation is the worst, over all triples
 (s, relation, grid), of the best total distance between the outputs of the
@@ -93,11 +94,11 @@ class DiamondReport:
         carried = None if name == "_carried" else getattr(self, "_carried", None)
         if carried is None or name not in carried.on_read:
             return object.__getattribute__(self, name)  # set meanwhile, or absent
-        backward = self.direction == RHS_TO_LHS
-        object.__setattr__(self, name, carried.field(name, backward))
+        where = (self.direction == RHS_TO_LHS, self.generator, self.relation)
+        object.__setattr__(self, name, carried.field(name, *where))
         if None not in carried.sides:  # the rest costs nothing more: drop the record
             for n in carried.on_read:
-                object.__setattr__(self, n, carried.field(n, backward))
+                object.__setattr__(self, n, carried.field(n, *where))
             vars(self).pop("_carried", None)
         return object.__getattribute__(self, name)
 
@@ -256,22 +257,24 @@ class DiamondContext:
                 break
         else:
             return None
-        (rep, i), (reports, keys) = entry, data
+        (rep, i), reports = entry, data[0]
         sym = syms[i]
         flip = sym.images[rep[1]][1]  # 1 when σ maps the lhs side onto rel's rhs side
-        carried = _Carried(sym, s, rel, reports[0], keys, flip)
+        carried = _Carried(sym, data, flip)
         out = (object.__new__(DiamondReport), object.__new__(DiamondReport))
-        put = object.__setattr__
         for k, report in enumerate(out):
             r = reports[k ^ flip]
-            put(report, "generator", s)
-            put(report, "relation", rel)
-            put(report, "direction", RHS_TO_LHS if k else LHS_TO_RHS)
-            put(report, "status", r.status)
-            put(report, "witness", None if r.witness is None else carried.witness(k))
-            put(report, "exhausted", r.exhausted)
-            put(report, "reason", r.reason)
-            put(report, "_carried", carried)
+            # Through __dict__, cheaper than object.__setattr__; the fields left
+            # out read their class defaults, and no recorded report has a reason.
+            fields = vars(report)
+            fields["generator"] = s
+            fields["relation"] = rel
+            fields["direction"] = RHS_TO_LHS if k else LHS_TO_RHS
+            fields["status"] = r.status
+            fields["_carried"] = carried
+            if r.witness is not None:
+                fields["witness"] = carried.witness(k, s, rel)
+                fields["exhausted"] = r.exhausted
         return out
 
     def record(
@@ -307,7 +310,7 @@ def check_diamond(
     over by a symmetry; the reports are the same either way."""
     if context is None:
         context = DiamondContext(p, b)
-    elif context.p is not p or context.b != b:
+    elif context.p is not p or (context.b is not b and context.b != b):
         raise ValueError("the context belongs to another presentation or budget")
     else:
         reports = context.transported(s, rel)
@@ -367,7 +370,7 @@ def _check_completeness(p: Presentation, b: Budget) -> DiamondContext:
     for s in range(len(p.letters)):
         for rel in p.relations:
             pairs += check_diamond(p, s, rel, b, run)
-    statuses = {rep.status for rep in pairs}
+    statuses = [rep.status for rep in pairs]  # `in` finds enum members by identity
     if DiamondStatus.COUNTEREXAMPLE in statuses:
         verdict = Verdict.INCOMPLETE
     elif DiamondStatus.INCONCLUSIVE in statuses:

@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import Presentation, Word, word_text
+from .core import Presentation, Word
 
 INFINITE = float("inf")
 
@@ -86,16 +86,17 @@ class ClassResult:
 
 def rewrite_neighbors(p: Presentation, w: Word) -> list[Word]:
     """All words one relation application away from `w`, by relation, then
-    orientation, then position."""
-    out: list[Word] = []
-    text = word_text(w)
-    for src, k, dst in p.rewrite_index:
-        if src in text:  # far cheaper than `find` on the usual miss
-            i = text.find(src)
-            while i >= 0:
-                out.append(w[:i] + dst + w[i + k :])
-                i = text.find(src, i + 1)
-    return out
+    orientation, then position: the rules that `p.rewrite_index` lists for
+    each position, confirmed on the word and sorted."""
+    index, m = p.rewrite_index, len(p.letters) + 1
+    padded = w + (m - 1, m - 1)
+    hits = []
+    for i in range(len(w) + 1):
+        for order, src, k, dst in index.get(padded[i] * m + padded[i + 1], ()):
+            if k < 3 or w[i : i + k] == src:  # the key holds a source's first two letters
+                hits.append((order, i, k, dst))
+    hits.sort()
+    return [w[:i] + dst + w[i + k :] for _, i, k, dst in hits]
 
 
 def _weight_cap(p: Presentation, max_word_weight: int, *words: Word) -> int:

@@ -16,11 +16,14 @@ A presentation compiles what the algorithms look up over and over: its
 hash, its tile table (the tiles of each letter/letter grid cell),
 whether it is deterministic (no cell has two tiles) and its reversal
 table (what each cell's tile pushes in reversing), its rewrite index
-(the oriented relations with distinct sides), its oriented relation
-pairs, its mirror and its orbit table (its verified automorphisms and
-the orbits of (generator, relation) pairs under them, see `symmetry`).
-Each is built lazily from the presentation alone and never changes; none
-caches a computed result.  They are not fields, so equality, `repr`,
+(the oriented relations with distinct sides, by the letter pair a match
+starts with), its oriented relation pairs, its mirror, its orbit table
+(its verified automorphisms and the orbits of (generator, relation)
+pairs under them) and, from `symmetry`, its tile index, which holds the
+maps that carry grids.  Each is built lazily from the presentation alone
+and never changes; none caches a computed result.  Racing threads get
+one tile table, mirror and tile index, kept by `setdefault`: carried
+grids go by tile identity.  They are not fields, so equality, `repr`,
 copies and pickles ignore them, and a derived presentation compiles its
 own, except that a presentation shares its orbit table with its mirror.
 """
@@ -186,7 +189,7 @@ class Presentation:
                             orientation=orientation,
                         )
                     )
-        return {pair: tuple(ts) for pair, ts in table.items()}
+        return vars(self).setdefault("tile_table", {st: tuple(ts) for st, ts in table.items()})
 
     @cached_property
     def deterministic(self) -> bool:
@@ -209,16 +212,25 @@ class Presentation:
         }
 
     @cached_property
-    def rewrite_index(self) -> tuple[tuple[str, int, Word], ...]:
-        """(text of src, length of src, dst) for every oriented relation
-        src = dst with src != dst, by relation index then orientation; see
-        `word_text`."""
-        return tuple(
-            (word_text(src), len(src), dst)
-            for rel in self.relations
-            for src, dst in ((rel.lhs, rel.rhs), (rel.rhs, rel.lhs))
-            if src != dst
-        )
+    def rewrite_index(self) -> dict[int, tuple[tuple[int, Word, int, Word], ...]]:
+        """(2r + orientation, src, length of src, dst) for each orientation
+        src = dst of each relation r with src != dst, by the letters s t a
+        match starts with, at key s·m + t (m = n + 1 for n letters; letter
+        n pads a word): src's first two, its one and any, or any two."""
+        m = len(self.letters) + 1
+        index: dict[int, list] = {}
+        for rel in self.relations:
+            sides = ((rel.lhs, rel.rhs), (rel.rhs, rel.lhs))
+            for order, (src, dst) in enumerate(sides, 2 * rel.index):
+                if src == dst:
+                    continue
+                if len(src) >= 2:
+                    keys: Iterable[int] = (src[0] * m + src[1],)
+                else:  # its letter before any, or any two
+                    keys = range(src[0] * m, src[0] * m + m) if src else range(m * m)
+                for key in keys:
+                    index.setdefault(key, []).append((order, src, len(src), dst))
+        return {key: tuple(rules) for key, rules in index.items()}
 
     @cached_property
     def oriented_relations(self) -> dict[tuple[Word, Word], tuple[int, int]]:
@@ -235,7 +247,7 @@ class Presentation:
         """`mirror(self)`, built once, whose `mirrored` is self again."""
         twin = mirror(self)
         twin.__dict__["mirrored"] = self
-        return twin
+        return vars(self).setdefault("mirrored", twin)
 
     @cached_property
     def orbits(self) -> tuple:
@@ -284,12 +296,6 @@ class Presentation:
                     raise PresentationError(f"letter id {i!r} is not an int")
                 if not 0 <= i < len(self.letters):
                     raise PresentationError(f"unknown letter id {i}")
-
-
-def word_text(w: Word) -> str:
-    """A word as a string with one character per letter, so that its
-    factors can be found with the string methods."""
-    return "".join(map(chr, w))
 
 
 def make_presentation(

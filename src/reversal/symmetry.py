@@ -25,18 +25,16 @@ meets an incomplete class is checked pair by pair.
 
 Reversing every relation gives back the same relation set in the braid
 and colored braid monoids, so there the identity is a letter map from a
-presentation's mirror onto it.  A run over p then reads a finished run
-over its mirror first.  `carriers` gives a run its sources in the order
-it tries them, each a table, pair -> (its representative, the index of
-the symmetry carrying that onto it), with the record of representatives
-it reads and the symmetries.  The mirror run's table lists every pair:
-one whose preimage under the identity m is a representative comes from
-that preimage by m, one whose preimage σ carries comes from σ's
-representative by m∘σ.  Then come p's own orbits.  A pair comes from the
-first source whose record holds its representative, and is checked
-itself when none does: no run records an inconclusive pair or one that
-meets an incomplete class.  A carried grid's target words are its own;
-no store shares them between grids.
+presentation's mirror onto it, and a run over p reads a finished run over
+its mirror first.  `carriers` gives a run its sources in the order it
+tries them, the mirror run's (`from_mirror`) and then p's own orbits:
+each a table, pair -> (its representative, the index of the symmetry
+carrying that onto it), with the record of representatives it reads and
+the symmetries.  A pair comes from the first source whose record holds
+its representative, and is checked itself when none does: no run records
+an inconclusive pair or one that meets an incomplete class.  Tables and
+symmetries are compiled data of p (`tile_index`); a run adds its record.
+A carried grid's target words are its own, shared with no other grid.
 """
 
 from __future__ import annotations
@@ -213,27 +211,36 @@ def first_index(keys: Sequence[ClassKey]) -> dict[ClassKey, int]:
 
 
 class _TileIndex:
-    """The tiles a grid of p can hold, indexed for carrying grids; each
-    table is built on first read.  The symmetries of one run share one
-    index per presentation."""
+    """The tiles a grid of p can hold, indexed for carrying grids, and the
+    symmetries that carry grids onto p; each is built on first read.  One
+    per presentation, as its compiled data (`tile_index`)."""
 
     def __init__(self, p: Presentation) -> None:
         self.p = p
 
     @cached_property
+    def symmetries(self) -> list[Symmetry]:
+        """The automorphisms of `p.orbits`, in order."""
+        return [Symmetry(*sym, self, self) for sym in self.p.orbits[0]]
+
+    @cached_property
+    def from_mirror(self) -> tuple[dict, list[Symmetry]] | None:
+        return from_mirror(self.p.mirrored, self.p)
+
+    @cached_property
     def all_tiles(self) -> list[Tile]:
-        """The tile table's tiles and the forced tiles of ε cells."""
+        """The tile table's tiles and the forced tiles of ε cells, by key."""
         p = self.p
         out = [t for ts in p.tile_table.values() for t in ts] + list(tiles(p, None, None))
         for x in range(len(p.letters)):
             out += tiles(p, x, None) + tiles(p, None, x)
-        return out
+        return sorted(out, key=Tile.key)
 
     @cached_property
     def ranks(self) -> dict[int, int]:
-        """id of each tile -> its rank by `Tile.key`, so that tuples of
+        """id of each tile -> its rank, its index in `all_tiles`: tuples of
         ranks sort as `Grid.trace_key` does."""
-        return {id(t): r for r, t in enumerate(sorted(self.all_tiles, key=Tile.key))}
+        return {id(t): r for r, t in enumerate(self.all_tiles)}
 
     @cached_property
     def by_relation(self) -> dict[tuple[int, int], Tile]:
@@ -259,29 +266,31 @@ class Symmetry:
         return tuple(map(self.sigma.__getitem__, w))
 
     @cached_property
-    def tile_maps(self) -> tuple[dict[int, Tile], dict[int, int]]:
-        """id of each source tile -> its image, the target's own tile; and
-        id of each source tile -> that image's rank."""
+    def tile_maps(self) -> tuple[tuple[Tile, ...], tuple[int, ...]]:
+        """By the rank of each source tile: its image, the target's own
+        tile; and that image's rank."""
         p, sigma, by_relation = self.target.p, self.sigma, self.target.by_relation
-        image_of: dict[int, Tile] = {}
+        image_of: list[Tile] = []
         for t in self.source.all_tiles:
             if t.rel_index is not None:
                 index, flip = self.images[t.rel_index]
-                image_of[id(t)] = by_relation[index, t.orientation ^ flip]
+                image_of.append(by_relation[index, t.orientation ^ flip])
             else:  # a cancellation or forced tile, the only one of its cell
                 left = None if t.left is None else sigma[t.left]
                 top = None if t.top is None else sigma[t.top]
-                image_of[id(t)] = tiles(p, left, top)[0]
+                image_of.append(tiles(p, left, top)[0])
         ranks = self.target.ranks
-        return image_of, {k: ranks[id(image)] for k, image in image_of.items()}
+        return tuple(image_of), tuple([ranks[id(image)] for image in image_of])
 
     def rank(self, g: Grid) -> tuple[int, ...]:
         """The ranks of the image's tiles: images sort by it as by trace."""
-        return tuple(map(self.tile_maps[1].__getitem__, map(id, g.cells)))
+        ranks = map(self.source.ranks.__getitem__, map(id, g.cells))
+        return tuple(map(self.tile_maps[1].__getitem__, ranks))
 
     def grid(self, g: Grid, source: tuple[Word, Word]) -> Grid:
         """The image of g, from `source`."""
-        cells = tuple(map(self.tile_maps[0].__getitem__, map(id, g.cells)))
+        ranks = map(self.source.ranks.__getitem__, map(id, g.cells))
+        cells = tuple(map(self.tile_maps[0].__getitem__, ranks))
         return Grid(self.target.p.letters, source, tuple(map(self.word, g.target)), cells)
 
     def grids(
@@ -293,70 +302,81 @@ class Symmetry:
         return tuple(self.grid(grids[i], source) for i in order), order
 
 
+def tile_index(p: Presentation) -> _TileIndex:
+    """p's tile index, compiled data of p (see `core`), built here, not by a
+    property of p, which would import the package's current module: it
+    holds this module's tiles, and another import builds its own per call."""
+    index = vars(p).get("tile_index") or vars(p).setdefault("tile_index", _TileIndex(p))
+    return index if type(index) is _TileIndex else _TileIndex(p)
+
+
+def from_mirror(source: Presentation, p: Presentation) -> tuple[dict, list[Symmetry]] | None:
+    """If the identity m verifies as a letter map from `source`, p's mirror,
+    onto p, the table and symmetries that carry its runs onto p: m∘σ for
+    the k-th σ of its orbits at index k, then m; every pair of p from its
+    m-preimage if a representative, else from σ's representative by m∘σ."""
+    identity = tuple(range(len(p.letters)))
+    images = automorphism_relations(source, identity, p)
+    if images is None:
+        return None
+    automorphisms, carried = source.orbits
+    if source == p.mirrored:  # an equal copy of p's mirror: its orbits are p's
+        vars(p).setdefault("orbits", source.orbits)
+    origin, index = tile_index(source), tile_index(p)
+    # m∘σ maps a relation to m's image of its σ image, flipped where σ flips.
+    pick = (images, tuple((j, 1 - flip) for j, flip in images))
+    syms = [
+        Symmetry(sigma, tuple([pick[flip][i] for i, flip in by_sigma]), origin, index)
+        for sigma, by_sigma in automorphisms
+    ]
+    syms.append(Symmetry(identity, images, origin, index))
+    m = [j for j, _ in images]
+    table = {(s, m[i]): ((s, i), len(automorphisms)) for s in identity for i in range(len(m))}
+    table.update({(s, m[i]): entry for (s, i), entry in carried.items()})
+    return table, syms
+
+
 def carriers(
     p: Presentation, record: Record, mirror: tuple[Presentation, Record] | None = None
 ) -> list[Source]:
-    """Where a run over p carries reports from, in the order it tries
-    them: a finished run over p's mirror, given as `mirror` (that
-    presentation and its run's record), if the identity letter map m
-    verifies as an isomorphism from it onto p; then p's own orbits, whose
-    representatives the run keeps in `record`.
-
-    The mirror's symmetries are m∘σ for the k-th σ of its orbits at index
-    k, then m.  Its table maps every pair of p: one whose preimage under m
-    is a representative to that preimage, by m; one whose preimage σ
-    carries from a representative to that representative, by m∘σ."""
-    index = _TileIndex(p)
-    out: list[Source] = []
-    identity = tuple(range(len(p.letters)))
-    images = mirror and automorphism_relations(mirror[0], identity, p)
-    if images is not None:
+    """Where a run over p carries reports from, in the order it tries them:
+    a finished run over p's mirror, given as `mirror` (that presentation
+    and its run's record), if `from_mirror` carries it onto p; then p's own
+    orbits, with `record`.  Tables and symmetries are p's `tile_index`'s."""
+    index, out = tile_index(p), []
+    if mirror is not None:
         source, recorded = mirror
-        automorphisms, carried = source.orbits
-        if source == p.mirrored:  # an equal copy of p's mirror: its orbits are p's
-            vars(p).setdefault("orbits", source.orbits)
-        origin = _TileIndex(source)
-        # m∘σ maps a relation to m's image of its σ image, flipped where σ flips.
-        pick = (images, tuple((j, 1 - flip) for j, flip in images))
-        syms = [
-            Symmetry(sigma, tuple([pick[flip][i] for i, flip in by_sigma]), origin, index)
-            for sigma, by_sigma in automorphisms
-        ]
-        syms.append(Symmetry(identity, images, origin, index))
-        m = [j for j, _ in images]
-        table = {(s, m[i]): ((s, i), len(automorphisms)) for s in identity for i in range(len(m))}
-        table.update({(s, m[i]): entry for (s, i), entry in carried.items()})
-        out.append((table, recorded, syms))
-    automorphisms, carried = p.orbits
-    out.append((carried, record, [Symmetry(*sym, index, index) for sym in automorphisms]))
+        # An equal copy of p.mirrored gets its own: tile maps go by the identity of tiles.
+        carry = index.from_mirror if source is p.mirrored else from_mirror(source, p)
+        if carry is not None:
+            out.append((carry[0], recorded, carry[1]))
+    out.append((p.orbits[1], record, index.symmetries))
     return out
 
 
 class _Carried:
-    """A carried pair: σ, its representative's lhs->rhs report and class
-    keys, whether σ swaps the representative's sides, and the pair's
-    witnesses.  The pair's two reports share it and build their grids on
-    first read; no class map."""
+    """A carried pair of generator s and relation rel: σ, its
+    representative's record entry (its two reports and the class keys of
+    its two sides), whether σ swaps the representative's sides, and the
+    pair's witnesses.  The pair's two reports share it and hold s and rel
+    for it; they build their grids on first read, with no class map."""
 
-    __slots__ = ("sym", "s", "rel", "report", "keys", "flip", "known", "sides")
+    __slots__ = ("sym", "entry", "flip", "known", "sides")
     on_read = ("src_grids", "dst_grids", "matching")  # the report fields it builds
     lock = threading.Lock()
 
-    def __init__(
-        self, sym: Symmetry, s: int, rel: Relation, report, keys: tuple, flip: int
-    ) -> None:
-        self.sym, self.s, self.rel, self.report, self.keys = sym, s, rel, report, keys
-        self.flip = flip
+    def __init__(self, sym: Symmetry, entry: tuple, flip: int) -> None:
+        self.sym, self.entry, self.flip = sym, entry, flip
         self.known: list[tuple[int, Grid] | None] | None = None  # per side
         self.sides: list[tuple | None] | None = None  # per side, once built
 
     def preimages(self, k: int) -> tuple[tuple[Grid, ...], tuple[ClassKey, ...]]:
         """The grids and keys of the representative's side that σ maps onto
         side k (0 lhs, 1 rhs)."""
-        j = k ^ self.flip
-        return (self.report.src_grids, self.report.dst_grids)[j], self.keys[j]
+        j, ((report, _), keys) = k ^ self.flip, self.entry
+        return (report.src_grids, report.dst_grids)[j], keys[j]
 
-    def witness(self, k: int) -> Grid:
+    def witness(self, k: int, s: int, rel: Relation) -> Grid:
         """The counterexample from side k: of the preimages whose key has no
         equal on the other side, the image first in trace order; carried
         alone and kept for the side."""
@@ -364,19 +384,18 @@ class _Carried:
         rank = self.sym.rank
         unmatched = (i for i, key in enumerate(keys) if key not in others)
         i = min(unmatched, key=lambda i: rank(grids[i]))
-        source = ((self.s,), (self.rel.lhs, self.rel.rhs)[k])
         self.known = self.known or [None, None]
-        self.known[k] = (i, self.sym.grid(grids[i], source))
+        self.known[k] = (i, self.sym.grid(grids[i], ((s,), (rel.lhs, rel.rhs)[k])))
         return self.known[k][1]
 
-    def side(self, k: int) -> tuple[tuple[Grid, ...], tuple[ClassKey, ...]]:
+    def side(self, k: int, s: int, rel: Relation) -> tuple[tuple[Grid, ...], tuple[ClassKey, ...]]:
         """The images of side k's grids in trace order, and their keys, each
         its preimage's; built once, around the side's witness if it has one."""
         with self.lock:
             self.sides = self.sides or [None, None]
             if self.sides[k] is None:
                 known = self.known and self.known[k]
-                source = ((self.s,), (self.rel.lhs, self.rel.rhs)[k])
+                source = ((s,), (rel.lhs, rel.rhs)[k])
                 if known:  # one source per side: the witness's
                     source = known[1].source
                 preimages, keys = self.preimages(k)
@@ -385,13 +404,13 @@ class _Carried:
                     grids = tuple(known[1] if i == known[0] else g for i, g in zip(order, grids))
                 self.sides[k] = (grids, tuple(map(keys.__getitem__, order)))
                 if None not in self.sides:  # σ and the preimages are done with
-                    self.sym = self.report = self.keys = self.known = None
+                    self.sym = self.entry = self.known = None
             return self.sides[k]
 
-    def field(self, name: str, backward: bool) -> tuple:
+    def field(self, name: str, backward: bool, s: int, rel: Relation) -> tuple:
         """Field `name` of the lhs->rhs report, or the rhs->lhs one if
         `backward`.  Matching is by key: a recorded pair's grids all have one."""
         if name != "matching":
-            return self.side(backward ^ (name == "dst_grids"))[0]
-        (_, src_keys), (_, dst_keys) = self.side(backward), self.side(not backward)
+            return self.side(backward ^ (name == "dst_grids"), s, rel)[0]
+        (_, src_keys), (_, dst_keys) = self.side(backward, s, rel), self.side(not backward, s, rel)
         return tuple(map(first_index(dst_keys).get, src_keys))

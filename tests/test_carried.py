@@ -25,7 +25,7 @@ import pytest
 
 import reversal as rv
 from conftest import direct_pairs
-from reversal import completeness
+from reversal import completeness, symmetry
 from reversal.completeness import DiamondReport, DiamondStatus, Verdict, diamond_to_json
 from reversal.symmetry import Symmetry
 
@@ -299,6 +299,45 @@ def test_threads_share_the_run_cache():
     rv.check_completeness.cache_clear()
 
 
+def test_threads_compiling_carry_data_get_the_serial_reports():
+    # The tile index, the symmetries and the mirror's table are compiled
+    # data of the presentations, built by whichever run reads them first.
+    # Here 4 threads start together on fresh presentations, two with p
+    # first and two with its mirror first, and read every report.
+    def runs(p) -> list:
+        return [rv.check_completeness(side) for side in (p, p.mirrored)]
+
+    rv.check_completeness.cache_clear()
+    serial = runs(rv.colored_braid(4, ["a", "b"]))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            rv.check_completeness.cache_clear()
+            p = rv.colored_braid(4, ["a", "b"])
+            p.mirrored
+            assert not {"tile_table", "tile_index"} & set(vars(p) | vars(p.mirrored))
+            barrier = threading.Barrier(4)
+            results: list = [None] * 4
+
+            def run(k: int) -> None:
+                order = (p, p.mirrored) if k % 2 else (p.mirrored, p)
+                barrier.wait()
+                reports = {side: rv.check_completeness(side) for side in order}
+                results[k] = [reports[side] == want for side, want in zip((p, p.mirrored), serial)]
+
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            assert results == [[True, True]] * 4
+    finally:
+        sys.setswitchinterval(interval)
+        rv.check_completeness.cache_clear()
+
+
 def test_verdicts_carry_no_grids(monkeypatch):
     calls = []
     carry = Symmetry.grids
@@ -356,6 +395,7 @@ def held_by_run(p, after=None) -> tuple:
     cached first if given; and its report."""
     for q in (p, p.mirrored):  # compiled data belongs to the presentations
         q.tile_table, q.rewrite_index, q.orbits, q.oriented_relations
+        symmetry.carriers(q, {}, (q.mirrored, {}))  # compiles `tile_index` and its tables
     rv.check_completeness.cache_clear()
     if after is not None:
         rv.check_completeness(after)
@@ -383,9 +423,35 @@ def test_a_cached_report_holds_little_memory():
 def test_a_mirror_carried_cached_report_holds_little_memory():
     # Measured at 0.27 MB for the mirror of colored_braid(4,{a,b,c}) when
     # its run carries every pair from the left run; 0.62 MB when that run
-    # checks its orbit representatives itself.
+    # checks its orbit representatives itself.  0.31 MB on Python 3.11 and
+    # 3.13 since carried reports are written through their __dict__, which
+    # costs a 64-B dict each.
     p = SPECS["cb4abc"]()
     held, report = held_by_run(p.mirrored, after=p)
     assert report.verdict is Verdict.COMPLETE
     assert all("_carried" in vars(rep) for rep in report.pairs)
     assert held < 320_000
+
+
+def test_compiled_carry_data_holds_little_memory():
+    # colored_braid(4,{a,b,c}) and its mirror with all their compiled data,
+    # after a left and a right verdict, held 0.29 MB; 0.22 MB when each run
+    # built its own symmetries, tile indexes and mirror table.  The runs
+    # over restricted_colored(5,{a,b,c}) read the tile maps of 23
+    # symmetries: it held 0.59 MB, 1.08 MB with tile maps as dicts keyed
+    # by tile, 0.35 MB when each run built its own.
+    rv.check_completeness.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        p = SPECS["cb4abc"]()
+        assert rv.check_left_cancellative(p).status.value == "cancellative"
+        assert rv.check_right_cancellative(p).status.value == "cancellative"
+        rv.check_completeness.cache_clear()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert "from_mirror" in vars(symmetry.tile_index(p.mirrored))
+    assert held < 400_000

@@ -1,6 +1,6 @@
 """The compiled data of a presentation: its cached hash, tile table,
-deterministic flag, reversal table, rewrite index, mirror and orbit
-table.
+deterministic flag, reversal table, rewrite index, mirror, orbit table
+and the symmetries that carry grids onto it.
 
 The indexes must give exactly what a scan over all relations gives, in
 the same order; the scans below are kept as the reference.  The hash and
@@ -20,6 +20,7 @@ import pytest
 
 import reversal as rv
 from conftest import catalog_presentations, rand_word
+from reversal import symmetry
 from reversal.congruence import rewrite_neighbors
 from reversal.grids import Tile, TileKind, letter_tiles
 
@@ -148,18 +149,23 @@ def test_replaced_presentation_compiles_its_own(colored42):
     for s in letters:
         for t in letters:
             assert letter_tiles(q, s, t) == scan_letter_tiles(q, s, t)
-    assert len(q.rewrite_index) == 6
+    # 6 oriented rules under 5 letter pairs: two sources start with the same pair.
+    rules = [rule for bucket in q.rewrite_index.values() for rule in bucket]
+    assert len(q.rewrite_index) == 5
+    assert sorted(number for number, *_ in rules) == list(range(6))
 
 
 def test_compiled_data_is_not_part_of_the_value(colored42):
     fresh = rv.colored_braid(4, ["a", "b"])
     compiled = {
         "_hash", "tile_table", "deterministic", "reversal_table", "rewrite_index",
-        "mirrored", "orbits",
+        "mirrored", "orbits", "tile_index",
     }
     hash(colored42), colored42.tile_table, colored42.rewrite_index
     colored42.deterministic, colored42.reversal_table, colored42.mirrored
     colored42.orbits
+    symmetry.carriers(colored42, {}, (colored42.mirrored, {}))
+    assert compiled <= set(vars(colored42))
     assert colored42 == fresh
     assert repr(colored42) == repr(fresh)
     for name in compiled:

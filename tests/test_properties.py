@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 
 import reversal as rv
 from reversal.completeness import Verdict
+from reversal.congruence import rewrite_neighbors
+from test_compiled import scan_rewrite_neighbors
 from strategies import artin_presentations, symmetric_presentations
 
 # Generator tokens by the grammar [A-Za-z][A-Za-z0-9_.^-]*, at most 4 long.
@@ -56,6 +58,17 @@ def test_format_then_parse_keeps_the_presentation(p):
 @given(presentations())
 def test_mirror_is_an_involution(p):
     assert rv.mirror(rv.mirror(p)) == p
+
+
+@PROPERTY_SETTINGS
+@given(presentations(), st.data())
+def test_rewrite_index_finds_what_a_scan_finds(p, data):
+    # The draws have ε-relations, one-letter sources, equal sides and 1 = 1.
+    word = st.lists(st.integers(0, len(p.letters) - 1), max_size=10).map(tuple)
+    for q in (p, p.mirrored):
+        for _ in range(5):
+            w = data.draw(word)
+            assert rewrite_neighbors(q, w) == scan_rewrite_neighbors(q, w)
 
 
 @PROPERTY_SETTINGS
