@@ -28,10 +28,12 @@ record holds the pair's representative: the cached run over the
 presentation's mirror, when there is one and the identity letter map
 verifies as an isomorphism from the mirror onto the presentation, then
 the run's own orbits.  Their tables and symmetries are compiled data of
-the presentation, and a run adds its record.  The finished run's context
-is the cache entry: the report, the run's record (the reports and class
-keys of its recorded representatives), and its class maps and class ids.
-No run keeps a store of carried words.
+the presentation, and a run adds its record.  A carried report holds its
+status; the first read of its grids, matching or witness carries both
+sides of its pair, for both reports (`symmetry._Carried`).  The finished
+run's context is the cache entry: the report, the run's record (the
+reports and class keys of its recorded representatives), and its class
+maps and class ids.  No run keeps a store of carried words.
 
 The defect of a complete presentation is the worst, over all triples
 (s, relation, grid), of the best total distance between the outputs of the
@@ -48,7 +50,7 @@ from __future__ import annotations
 import enum
 import threading
 from collections import OrderedDict, namedtuple
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, partial
 from typing import Sequence
 
@@ -85,7 +87,8 @@ class DiamondReport:
     # whose targets are at finite distance (by w1's class map, then w2's);
     # None where no comparison matched.
     matching: tuple[int | None, ...]
-    witness: Grid | None = None
+    # No class attribute, so that a carried report reaches `__getattr__`.
+    witness: Grid | None = field(default_factory=lambda: None)
     exhausted: bool = False
     reason: str | None = None
 
@@ -94,13 +97,12 @@ class DiamondReport:
         carried = None if name == "_carried" else getattr(self, "_carried", None)
         if carried is None or name not in carried.on_read:
             return object.__getattribute__(self, name)  # set meanwhile, or absent
+        if name == "witness" and not self.exhausted:
+            return None
         where = (self.direction == RHS_TO_LHS, self.generator, self.relation)
-        object.__setattr__(self, name, carried.field(name, *where))
-        if None not in carried.sides:  # the rest costs nothing more: drop the record
-            for n in carried.on_read:
-                object.__setattr__(self, n, carried.field(n, *where))
-            vars(self).pop("_carried", None)
-        return object.__getattribute__(self, name)
+        vars(self).update(carried.fields(*where))
+        vars(self).pop("_carried", None)
+        return vars(self)[name]
 
     def __getstate__(self) -> dict:
         # The fields in field order, as an eager report pickles and copies.
@@ -247,8 +249,8 @@ class DiamondContext:
         σ keeps congruence, so two carried grids have congruent targets
         exactly when their preimages' class keys are equal; each carried
         grid keeps its preimage's key.  So the pair's reports hold their
-        representative's statuses and a counterexample's witness at once,
-        and build their grids and matching on first read."""
+        representative's statuses at once, and build their grids, matching
+        and witness on first read."""
         pair = (s, rel.index)
         for table, record, syms in self.sources:
             entry = table.get(pair)
@@ -272,9 +274,8 @@ class DiamondContext:
             fields["direction"] = RHS_TO_LHS if k else LHS_TO_RHS
             fields["status"] = r.status
             fields["_carried"] = carried
-            if r.witness is not None:
-                fields["witness"] = carried.witness(k, s, rel)
-                fields["exhausted"] = r.exhausted
+            if r.exhausted:  # a counterexample
+                fields["exhausted"] = True
         return out
 
     def record(

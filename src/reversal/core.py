@@ -409,13 +409,11 @@ def parse_presentation(source: str) -> Presentation:
                     raise ParseError(
                         f"expected tok=posint, got {entry!r}", lineno, entry_col
                     )
-                try:
-                    value = int(num)
-                except ValueError:
-                    raise ParseError(f"bad weight {num!r}", lineno, entry_col) from None
+                if not re.fullmatch(r"-?[0-9]+", num):  # ASCII digits only, as written
+                    raise ParseError(f"bad weight {num!r}", lineno, entry_col)
                 if tok in weights:
                     raise ParseError(f"duplicate weight for {tok!r}", lineno, entry_col)
-                weights[tok] = value
+                weights[tok] = int(num)
         elif key == "rel":
             lhs, eq, rhs = rest.partition("=")
             if not eq:

@@ -325,10 +325,13 @@ def reverse_targets(
     search takes.
 
     On a deterministic presentation a reversing pass that ends within
-    max_cells cells gives the result, and reading its `explored` runs the
-    memo search; otherwise the memo search gives the result."""
+    max_cells cells, and within 8·(|u| + |v| + 1)² so that a cyclic search
+    costs no more at a larger budget, gives the result, and reading its
+    `explored` runs the memo search; otherwise the memo search gives the
+    result."""
     _require_reversible(p, u, v)
-    ends = _reverse(p, u, v, b.max_cells) if p.deterministic else None
+    limit = min(b.max_cells, 8 * (len(u) + len(v) + 1) ** 2)
+    ends = _reverse(p, u, v, limit) if p.deterministic else None
     if ends is None:
         return _target_sets(p, u, v, b)
     search = object.__new__(TargetSearch)

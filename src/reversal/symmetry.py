@@ -18,10 +18,10 @@ pair gets its reports by carrying the representative's grids through σ
 (`Symmetry`), re-sorting them by trace as `reverse_enumerate` does (an
 image cell may list its tiles in another order than their keys), and
 matching them by the preimages' class keys.  A carried report holds its
-status at once, and a counterexample its witness, found by keys and
-carried alone; it builds its grids and matching the first time they are
-read (`_Carried`).  An orbit whose representative is inconclusive or
-meets an incomplete class is checked pair by pair.
+status at once; the first read of its grids, matching or witness, on
+either report of the pair, carries both sides once (`_Carried`).  An
+orbit whose representative is inconclusive or meets an incomplete class
+is checked pair by pair.
 
 Reversing every relation gives back the same relation set in the braid
 and colored braid monoids, so there the identity is a letter map from a
@@ -282,24 +282,21 @@ class Symmetry:
         ranks = self.target.ranks
         return tuple(image_of), tuple([ranks[id(image)] for image in image_of])
 
-    def rank(self, g: Grid) -> tuple[int, ...]:
-        """The ranks of the image's tiles: images sort by it as by trace."""
-        ranks = map(self.source.ranks.__getitem__, map(id, g.cells))
-        return tuple(map(self.tile_maps[1].__getitem__, ranks))
-
-    def grid(self, g: Grid, source: tuple[Word, Word]) -> Grid:
-        """The image of g, from `source`."""
-        ranks = map(self.source.ranks.__getitem__, map(id, g.cells))
-        cells = tuple(map(self.tile_maps[0].__getitem__, ranks))
-        return Grid(self.target.p.letters, source, tuple(map(self.word, g.target)), cells)
-
     def grids(
         self, grids: tuple[Grid, ...], source: tuple[Word, Word]
     ) -> tuple[tuple[Grid, ...], list[int]]:
         """The images of `grids`, all from `source`, in trace order, and the
-        index of each one's preimage."""
-        order = sorted(range(len(grids)), key=lambda i: self.rank(grids[i]))
-        return tuple(self.grid(grids[i], source) for i in order), order
+        index of each one's preimage.  Images sort by the ranks of their
+        tiles as by trace."""
+        images, image_ranks = self.tile_maps
+        rank = self.source.ranks.__getitem__
+        ranks = [list(map(rank, map(id, g.cells))) for g in grids]
+        order = sorted(range(len(ranks)), key=lambda i: [image_ranks[r] for r in ranks[i]])
+        letters, word, image = self.target.p.letters, self.word, images.__getitem__
+        return tuple(
+            Grid(letters, source, tuple(map(word, grids[i].target)), tuple(map(image, ranks[i])))
+            for i in order
+        ), order
 
 
 def tile_index(p: Presentation) -> _TileIndex:
@@ -355,62 +352,36 @@ def carriers(
 
 
 class _Carried:
-    """A carried pair of generator s and relation rel: σ, its
-    representative's record entry (its two reports and the class keys of
-    its two sides), whether σ swaps the representative's sides, and the
-    pair's witnesses.  The pair's two reports share it and hold s and rel
-    for it; they build their grids on first read, with no class map."""
+    """A carried pair of generator s and relation rel: σ, whether σ swaps
+    the representative's sides, and `entry`, the representative's record
+    entry (its two reports and the class keys of its two sides) until the
+    pair is carried, then the pair's two sides.  The pair's two reports
+    share it and hold s and rel for it; the first read of a field
+    `on_read` of either report carries both sides, with no class map."""
 
-    __slots__ = ("sym", "entry", "flip", "known", "sides")
-    on_read = ("src_grids", "dst_grids", "matching")  # the report fields it builds
+    __slots__ = ("sym", "entry", "flip")
+    on_read = ("src_grids", "dst_grids", "matching", "witness")  # the report fields it builds
     lock = threading.Lock()
 
     def __init__(self, sym: Symmetry, entry: tuple, flip: int) -> None:
         self.sym, self.entry, self.flip = sym, entry, flip
-        self.known: list[tuple[int, Grid] | None] | None = None  # per side
-        self.sides: list[tuple | None] | None = None  # per side, once built
 
-    def preimages(self, k: int) -> tuple[tuple[Grid, ...], tuple[ClassKey, ...]]:
-        """The grids and keys of the representative's side that σ maps onto
-        side k (0 lhs, 1 rhs)."""
-        j, ((report, _), keys) = k ^ self.flip, self.entry
-        return (report.src_grids, report.dst_grids)[j], keys[j]
-
-    def witness(self, k: int, s: int, rel: Relation) -> Grid:
-        """The counterexample from side k: of the preimages whose key has no
-        equal on the other side, the image first in trace order; carried
-        alone and kept for the side."""
-        (grids, keys), others = self.preimages(k), set(self.preimages(1 - k)[1])
-        rank = self.sym.rank
-        unmatched = (i for i, key in enumerate(keys) if key not in others)
-        i = min(unmatched, key=lambda i: rank(grids[i]))
-        self.known = self.known or [None, None]
-        self.known[k] = (i, self.sym.grid(grids[i], ((s,), (rel.lhs, rel.rhs)[k])))
-        return self.known[k][1]
-
-    def side(self, k: int, s: int, rel: Relation) -> tuple[tuple[Grid, ...], tuple[ClassKey, ...]]:
-        """The images of side k's grids in trace order, and their keys, each
-        its preimage's; built once, around the side's witness if it has one."""
+    def fields(self, backward: bool, s: int, rel: Relation) -> dict:
+        """The fields `on_read` of the lhs->rhs report, or of the rhs->lhs
+        one if `backward`.  A side's images are in trace order and keep
+        their preimages' keys.  Matching is by key, since a recorded pair's
+        grids all have one, and the witness is the first source grid left
+        unmatched, as in `_one_direction`."""
         with self.lock:
-            self.sides = self.sides or [None, None]
-            if self.sides[k] is None:
-                known = self.known and self.known[k]
-                source = ((s,), (rel.lhs, rel.rhs)[k])
-                if known:  # one source per side: the witness's
-                    source = known[1].source
-                preimages, keys = self.preimages(k)
-                grids, order = self.sym.grids(preimages, source)
-                if known:  # and the witness is the side's grid
-                    grids = tuple(known[1] if i == known[0] else g for i, g in zip(order, grids))
-                self.sides[k] = (grids, tuple(map(keys.__getitem__, order)))
-                if None not in self.sides:  # σ and the preimages are done with
-                    self.sym = self.entry = self.known = None
-            return self.sides[k]
-
-    def field(self, name: str, backward: bool, s: int, rel: Relation) -> tuple:
-        """Field `name` of the lhs->rhs report, or the rhs->lhs one if
-        `backward`.  Matching is by key: a recorded pair's grids all have one."""
-        if name != "matching":
-            return self.side(backward ^ (name == "dst_grids"), s, rel)[0]
-        (_, src_keys), (_, dst_keys) = self.side(backward, s, rel), self.side(not backward, s, rel)
-        return tuple(map(first_index(dst_keys).get, src_keys))
+            if self.sym is not None:  # carry both sides, each from one source
+                ((report, _), keys), sides = self.entry, []
+                for k, side in enumerate((rel.lhs, rel.rhs)):
+                    j = k ^ self.flip
+                    preimages = (report.src_grids, report.dst_grids)[j]
+                    grids, order = self.sym.grids(preimages, ((s,), side))
+                    sides.append((grids, tuple(map(keys[j].__getitem__, order))))
+                self.sym, self.entry = None, sides
+        (src, src_keys), (dst, dst_keys) = self.entry[::-1] if backward else self.entry
+        matching = tuple(map(first_index(dst_keys).get, src_keys))
+        witness = next((g for g, j in zip(src, matching) if j is None), None)
+        return {"src_grids": src, "dst_grids": dst, "matching": matching, "witness": witness}

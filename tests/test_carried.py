@@ -1,12 +1,13 @@
 """Carried diamond reports, built on read.
 
 Within `check_completeness`, a pair whose orbit representative was
-recorded gets reports that hold their status (and a counterexample's
-witness) at once and build their grids and matching the first time
-something reads them.  These tests hold such reports to the reports of
-standalone `check_diamond`, whatever reads them first (equality, hashing,
-`repr`, pickles, copies, `dataclasses`, JSON or several threads at once),
-and check that a verdict carries no grid beyond the witnesses and that a
+recorded gets reports that hold their status at once; the first read of
+the grids, matching or witness of either report carries both sides of
+the pair, for both reports.  These tests hold such reports to the
+reports of standalone `check_diamond`, whatever reads them first
+(equality, hashing, `repr`, pickles, copies, `dataclasses`, JSON or
+several threads at once), check their counterexamples against a naive
+congruence closure, and check that a verdict carries no grid and that a
 cached report stays small.
 """
 
@@ -22,9 +23,11 @@ import threading
 import tracemalloc
 
 import pytest
+from hypothesis import assume, given, settings
 
 import reversal as rv
 from conftest import direct_pairs
+from strategies import symmetric_presentations, with_mirror
 from reversal import completeness, symmetry
 from reversal.completeness import DiamondReport, DiamondStatus, Verdict, diamond_to_json
 from reversal.symmetry import Symmetry
@@ -148,18 +151,10 @@ def naive_class(relations, w) -> frozenset:
     return frozenset(seen)
 
 
-@pytest.mark.parametrize("mirrored", [False, True])
-def test_counterexamples_hold_by_a_naive_closure(mirrored):
-    # Direct and orbit-carried counterexamples of restricted_colored(4,
-    # {a,b,c}), and mirror-carried ones of its mirror after it: the witness
-    # from (s, w) to (u1, v1) has s·v1 ≡ w·u1, and no grid from the other
-    # side of the relation has targets congruent to u1 and v1.
-    p = SPECS["rc4abc"]()
-    q = p.mirrored if mirrored else p
-    pairs = fresh_pairs(q, after=p if mirrored else None)
-    bad = [rep for rep in pairs if rep.status is DiamondStatus.COUNTEREXAMPLE]
-    paths = {"_carried" in vars(rep) for rep in bad}
-    assert paths == ({True} if mirrored else {False, True})
+def assert_hold_by_a_naive_closure(q, bad, b=rv.DEFAULT_BUDGET) -> None:
+    """Each counterexample of `bad`, over q, holds: the witness from (s, w)
+    to (u1, v1) has s·v1 ≡ w·u1, and no grid from the other side of the
+    relation has targets congruent to u1 and v1."""
     relations = [(rel.lhs, rel.rhs) for rel in q.relations]
     classes: dict = {}
 
@@ -174,10 +169,54 @@ def test_counterexamples_hold_by_a_naive_closure(mirrored):
         (s, w), (u1, v1) = rep.witness.source, rep.witness.target
         assert s == (rep.generator,) and w == sides[backward]
         assert congruent(s + v1, w + u1)
-        assert rep.dst_grids == rv.reverse_enumerate(q, s, sides[not backward]).grids
+        assert rep.dst_grids == rv.reverse_enumerate(q, s, sides[not backward], b).grids
         assert not any(
             congruent(g.target[0], u1) and congruent(g.target[1], v1) for g in rep.dst_grids
         )
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_counterexamples_hold_by_a_naive_closure(mirrored):
+    # Direct and orbit-carried counterexamples of restricted_colored(4,
+    # {a,b,c}), and mirror-carried ones of its mirror after it.
+    p = SPECS["rc4abc"]()
+    q = p.mirrored if mirrored else p
+    pairs = fresh_pairs(q, after=p if mirrored else None)
+    bad = [rep for rep in pairs if rep.status is DiamondStatus.COUNTEREXAMPLE]
+    paths = {"_carried" in vars(rep) for rep in bad}
+    assert paths == ({True} if mirrored else {False, True})
+    assert_hold_by_a_naive_closure(q, bad)
+
+
+def test_carried_counterexamples_hold_by_a_naive_closure_on_random_presentations():
+    # Incomplete presentations closed under a letter permutation and under
+    # reversing their relations: the run over p carries counterexamples
+    # along its orbits, the run over its mirror after it carries them from
+    # p's.  Each carried witness, built on read, is one of its report's
+    # source grids, holds by a naive closure and is the standalone one.
+    seen = {"orbit": 0, "mirror": 0}
+    b = rv.Budget(max_class_size=2_000, max_cells=200, max_grids=200)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(symmetric_presentations().map(with_mirror))
+    def check(p):
+        rv.check_completeness.cache_clear()
+        assume(rv.check_completeness(p, b).verdict is Verdict.INCOMPLETE)
+        for q, path in ((p, "orbit"), (p.mirrored, "mirror")):
+            bad = [
+                rep for rep in rv.check_completeness(q, b).pairs
+                if "_carried" in vars(rep) and rep.status is DiamondStatus.COUNTEREXAMPLE
+            ]
+            for rep in bad:
+                assert any(g is rep.witness for g in rep.src_grids)
+                k = rep.direction == completeness.RHS_TO_LHS
+                assert rep.witness == rv.check_diamond(q, rep.generator, rep.relation, b)[k].witness
+            assert_hold_by_a_naive_closure(q, bad, b)
+            seen[path] += len(bad)
+
+    check()
+    rv.check_completeness.cache_clear()
+    assert seen["orbit"] and seen["mirror"], seen
 
 
 def test_without_a_self_mirror_run_the_mirror_is_checked_directly(monkeypatch):
@@ -338,7 +377,8 @@ def test_threads_compiling_carry_data_get_the_serial_reports():
         rv.check_completeness.cache_clear()
 
 
-def test_verdicts_carry_no_grids(monkeypatch):
+def counted_carries(monkeypatch) -> list:
+    """The sources of the `Symmetry.grids` calls made from now on."""
     calls = []
     carry = Symmetry.grids
 
@@ -347,47 +387,57 @@ def test_verdicts_carry_no_grids(monkeypatch):
         return carry(self, grids, source)
 
     monkeypatch.setattr(Symmetry, "grids", counted)
+    return calls
+
+
+def test_verdicts_carry_no_grids(monkeypatch):
+    calls = counted_carries(monkeypatch)
     p = SPECS["cb4abc"]()
     rv.check_completeness.cache_clear()
     assert rv.check_left_cancellative(p).status.value == "cancellative"
     assert calls == []
     assert rv.check_right_cancellative(p).status.value == "cancellative"  # carried
     assert calls == []
-    carried = [rep for rep in rv.check_completeness(p).pairs if "_carried" in vars(rep)]
-    carried[0].src_grids
-    assert len(calls) == 1
+    # Nor does the JSON of a complete run: no report has a witness.
+    for q in (p, p.mirrored):
+        completeness.completeness_to_json(q, rv.check_completeness(q))
+    assert calls == []
+    # The first read carries the pair's two sides, one call each, for both
+    # of its reports; no later read carries anything.
+    pairs = rv.check_completeness(p).pairs
+    i = next(i for i, rep in enumerate(pairs) if "_carried" in vars(rep))
+    fwd, bwd = pairs[i : i + 2]
+    assert (fwd.direction, bwd.direction) == (completeness.LHS_TO_RHS, completeness.RHS_TO_LHS)
+    fwd.matching
+    s, rel = (fwd.generator,), fwd.relation
+    assert calls == [(s, rel.lhs), (s, rel.rhs)]
+    for rep in (bwd, fwd):
+        rep.src_grids, rep.dst_grids, rep.matching, rep.witness
+    assert len(calls) == 2
+    assert fwd.src_grids is bwd.dst_grids and fwd.dst_grids is bwd.src_grids
 
 
-def test_verdicts_carry_only_the_witnesses(monkeypatch):
-    # Each carried counterexample report carries its witness grid alone;
-    # before, the verdict of rc5abc carried all 1,056 grids of their pairs.
-    calls = []
-    carry = Symmetry.grid
-
-    def counted(self, g, source):
-        calls.append(source)
-        return carry(self, g, source)
-
-    monkeypatch.setattr(Symmetry, "grid", counted)
-    p = SPECS["rc5abc"]()
+@pytest.mark.parametrize("name", ["rc4abc", "rc5abc"])
+def test_incomplete_verdicts_carry_no_grids(monkeypatch, name):
+    # A verdict reads statuses only: a carried counterexample's witness is
+    # built when it is read, with its pair's two sides.
+    calls = counted_carries(monkeypatch)
+    p = SPECS[name]()
     rv.check_completeness.cache_clear()
     assert rv.check_left_cancellative(p).status.value == "not-by-this-criterion"
-    pairs = rv.check_completeness(p).pairs
-    bad = [
-        rep for rep in pairs
-        if "_carried" in vars(rep) and rep.status is DiamondStatus.COUNTEREXAMPLE
-    ]
-    assert 0 < len(calls) <= len(bad)
-    assert all(rep.witness.source is source for rep, source in zip(bad, calls))
-    # The right verdict carries every pair from the left run: again only
-    # the witnesses.
-    calls.clear()
+    # The right verdict carries every pair from the left run.
     assert rv.check_right_cancellative(p).status.value == "not-by-this-criterion"
-    pairs = rv.check_completeness(p.mirrored).pairs
-    assert all("_carried" in vars(rep) for rep in pairs)
-    bad = [rep for rep in pairs if rep.status is DiamondStatus.COUNTEREXAMPLE]
-    assert 0 < len(calls) <= len(bad)
-    assert all(rep.witness.source is source for rep, source in zip(bad, calls))
+    assert calls == []
+    for q in (p, p.mirrored):
+        pairs = rv.check_completeness(q).pairs
+        bad = [
+            rep for rep in pairs
+            if "_carried" in vars(rep) and rep.status is DiamondStatus.COUNTEREXAMPLE
+        ]
+        assert bad and all(rep.exhausted for rep in bad)
+        calls.clear()
+        witness = bad[0].witness
+        assert len(calls) == 2 and any(g is witness for g in bad[0].src_grids)
 
 
 def held_by_run(p, after=None) -> tuple:

@@ -79,6 +79,19 @@ def test_parse_error_survives_pickling():
         assert (copy.line, copy.column, copy.item) == (error.line, error.column, None)
 
 
+@pytest.mark.parametrize("num", ["1_0", "٣", "+2", "２", "2.0"])
+def test_weights_are_ascii_numerals(num):
+    # `int` alone reads "1_0" as 10 and "٣" as 3; the format writes ASCII
+    # digits only.
+    with pytest.raises(ParseError, match="bad weight") as exc:
+        rv.parse_presentation(f"gens: a b\nweights: b=2 a={num}")
+    assert (exc.value.line, exc.value.column) == (2, 14)
+    # A sign still reaches the weight check of `make_presentation`.
+    for bad in ("0", "-1", "-0"):
+        with pytest.raises(ParseError, match="non-positive weight"):
+            rv.parse_presentation(f"gens: a\nweights: a={bad}")
+
+
 def test_weight_for_unknown_letter_has_position():
     # The weights line may come before the generators it names.
     with pytest.raises(ParseError, match="weight for unknown letter 'z'") as exc:

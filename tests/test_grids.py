@@ -604,6 +604,36 @@ def test_single_target_loop_equals_the_generator_loop():
     assert cuts[None] and cuts["max_cells"] and cuts["cycle"] and overruns == 279
 
 
+class CountedTable(dict):
+    """A reversal table that counts its lookups: one per cell the reversing
+    pass places, and one for a stuck cell."""
+
+    gets = 0
+
+    def get(self, key, default=None):
+        self.gets += 1
+        return super().get(key, default)
+
+
+def test_cyclic_searches_bound_the_pass_independently_of_the_budget():
+    # Both subproblems come back inside themselves, so the pass never ends.
+    # It stops after 8·(|u| + |v| + 1)² cells (128 here), whatever
+    # max_cells, and the generator loop cuts the cycle.  Before the bound,
+    # the pass ran 10,000 cells at the default budget and 1,000,000 here.
+    cyclic = rv.make_presentation(["a", "b"], [("a b", "b b a")])
+    affine = rv.make_presentation(  # the affine Artin presentation Ã2
+        ["a", "b", "c"], [("a b a", "b a b"), ("b c b", "c b c"), ("c a c", "a c a")]
+    )
+    for p, u, v in ((cyclic, "a", "b a"), (affine, "a", "b c")):
+        u, v = p.word(u), p.word(v)
+        assert p.deterministic
+        for b in (rv.DEFAULT_BUDGET, rv.Budget(max_cells=1_000_000)):
+            table = vars(p)["reversal_table"] = CountedTable(p.reversal_table)
+            search = assert_loops_agree(p, u, v, b)
+            assert not search.complete
+            assert 0 < table.gets <= 8 * (len(u) + len(v) + 1) ** 2 + 1
+
+
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(artin_presentations(), st.randoms(use_true_random=False))
 def test_single_target_loop_equals_the_generator_loop_on_artin_presentations(p, rng):
