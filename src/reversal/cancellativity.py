@@ -140,7 +140,8 @@ def right_lcm(
 
     The target comes from reversing u⁻¹v cell by cell, which stops at the
     first stuck cell, and from the memo search only when that takes over
-    `b.max_cells` reversing steps; ε and pass cells cost nothing."""
+    `b.max_cells` or 8·(|u| + |v| + 1)² cells; ε and pass cells cost
+    nothing."""
     if not is_right_complemented(p):
         raise PresentationError("right_lcm requires a right-complemented presentation")
     report = check_completeness(p, b)

@@ -392,8 +392,9 @@ CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 class _Runs:
     """The cache of `check_completeness`: (presentation, budget) -> the
-    finished run's `DiamondContext`, never written once stored; the least
-    recently used entry is dropped first past `maxsize`."""
+    finished run's `DiamondContext`, never written once stored (of two
+    concurrent runs of one key, the first stored is kept and returned);
+    the least recently used entry is dropped first past `maxsize`."""
 
     def __init__(self, maxsize: int) -> None:
         self.maxsize = maxsize
@@ -412,7 +413,7 @@ class _Runs:
             self.misses += 1
         run = _check_completeness(p, b)
         with self.lock:
-            self.entries[key] = run
+            run = self.entries.setdefault(key, run)
             self.entries.move_to_end(key)
             if len(self.entries) > self.maxsize:
                 self.entries.popitem(last=False)

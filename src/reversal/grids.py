@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -260,21 +260,21 @@ def reverse_complemented(
 # never change the words.  Sharing sub-blocks across branches is what a
 # grid filler must not do, so this search has a loop of its own, with a
 # generator per open subproblem.  It visits the corner, then the block to
-# its right, then the block below, counts a step before each tile, and
-# cuts (unmemoized) a subproblem met inside itself.
+# its right, then the block below, counts a step for each tile it applies
+# (at most max_cells), and cuts (unmemoized) a subproblem met inside itself.
 #
 # When no cell has two tiles (`Presentation.deterministic`, as in braid
 # monoids), `_reverse` first reverses u⁻¹v as it stands: `_fill`'s cursor
 # on letters, ε dropped, no memo.  A pass that ends within max_cells cells
-# gives exactly the memo search's targets, stuck pairs and completeness.
-# Every distinct subproblem is one of its cells, so max_cells does not cut
+# gives exactly the memo search's targets, stuck pairs and completeness:
+# every distinct subproblem is one of its cells, so max_cells does not cut
 # the memo search; a subproblem met inside itself would make the pass run
 # forever, so no cycle cuts it; a subproblem has at most one target, so
 # max_grids (at least 1) does not either; and both stop at the same first
-# stuck cell.  Only `explored`, the count of distinct subproblems, is
-# beyond a pass without a memo: `_target_sets` counts it on first read, a
-# second search.  A pass that overruns max_cells is dropped for
-# `_target_sets`, so every budget keeps its meaning.
+# stuck cell.  Its `explored` counts the cells it placed.  A pass that
+# overruns max_cells, or 8·(|u| + |v| + 1)² so that a cyclic search costs
+# no more at a larger budget, is dropped for `_target_sets`, so every
+# budget keeps its meaning.
 #
 # `_target_sets` hash-conses words: id 0 is ε, and id i > 0 is the word
 # whose first letter is heads[i] and whose remainder has id tails[i].  A
@@ -286,30 +286,16 @@ def reverse_complemented(
 
 @dataclass(frozen=True)
 class TargetSearch:
-    """What `reverse_targets` found.  A result of the reversing pass counts
-    `explored` by the memo search when it is first read; it equals,
-    copies and pickles as that search's own result."""
+    """What `reverse_targets` found."""
 
     targets: frozenset[tuple[Word, Word]]
     complete: bool
     stuck: frozenset[tuple[int, int]]
+    # The tile applications of the search that answered.
     explored: int
     # The first limit that cut the search: "max_cells", "max_grids" or
     # "cycle"; None when the search is complete.
     cut: str | None = None
-
-    def __getattr__(self, name: str):
-        # Reached only for an attribute not set: `explored` of a pass.
-        exact = None if name == "_exact" else getattr(self, "_exact", None)
-        if exact is None or name != "explored":
-            return object.__getattribute__(self, name)  # set meanwhile, or absent
-        object.__setattr__(self, name, _target_sets(*exact).explored)
-        vars(self).pop("_exact", None)
-        return self.explored
-
-    def __getstate__(self) -> dict:
-        # The fields in field order, as an eager result pickles and copies.
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def reverse_targets(
@@ -318,39 +304,27 @@ def reverse_targets(
     """The set of targets of all grids from (u, v).
 
     `complete` is False when the step budget (max_cells tile
-    applications, one per letter/letter cell of a distinct subproblem), a
-    target-set cap (max_grids), or a cyclic subproblem cut the search; a
-    True value certifies the target set is exhaustive.  `cut` names the
-    first of these that fired.  `explored` is the number of steps the memo
-    search takes.
-
-    On a deterministic presentation a reversing pass that ends within
-    max_cells cells, and within 8·(|u| + |v| + 1)² so that a cyclic search
-    costs no more at a larger budget, gives the result, and reading its
-    `explored` runs the memo search; otherwise the memo search gives the
-    result."""
+    applications), a target-set cap (max_grids), or a cyclic subproblem
+    cut the search; a True value certifies the target set is exhaustive.
+    `cut` names the first of these that fired, and `explored` counts the
+    tile applications.  On a deterministic presentation they are the cells
+    of a reversing pass that ends within max_cells and 8·(|u| + |v| + 1)²
+    cells; otherwise the memo search answers, with one step per
+    letter/letter cell of a distinct subproblem."""
     _require_reversible(p, u, v)
-    limit = min(b.max_cells, 8 * (len(u) + len(v) + 1) ** 2)
-    ends = _reverse(p, u, v, limit) if p.deterministic else None
-    if ends is None:
-        return _target_sets(p, u, v, b)
-    search = object.__new__(TargetSearch)
-    targets, stuck = ends
-    vars(search).update(
-        targets=targets, complete=True, stuck=stuck, cut=None, _exact=(p, u, v, b)
-    )
-    return search
+    if p.deterministic:
+        search = _reverse(p, u, v, min(b.max_cells, 8 * (len(u) + len(v) + 1) ** 2))
+        if search is not None:
+            return search
+    return _target_sets(p, u, v, b)
 
 
-def _reverse(
-    p: Presentation, u: Word, v: Word, max_cells: int
-) -> tuple[frozenset, frozenset] | None:
-    """The targets and stuck pairs of (u, v) on a deterministic
-    presentation, by reversing u⁻¹v; None if that takes over max_cells
-    cells.  As in `_fill`, `before` holds the signed letters left of the
-    cursor, the nearest on top, an upright x as x and an inverted one as
-    ~x; `after` the letters right of it, leftmost on top; and `right` the
-    finished right side."""
+def _reverse(p: Presentation, u: Word, v: Word, max_cells: int) -> TargetSearch | None:
+    """The search of (u, v) on a deterministic presentation, by reversing
+    u⁻¹v; None if that takes over max_cells cells.  As in `_fill`,
+    `before` holds the signed letters left of the cursor, the nearest on
+    top, an upright x as x and an inverted one as ~x; `after` the letters
+    right of it, leftmost on top; and `right` the finished right side."""
     n, table = len(p.letters), p.reversal_table
     before, after, right = [~x for x in reversed(u)], list(reversed(v)), []
     cells = 0
@@ -364,12 +338,13 @@ def _reverse(
             t = after.pop()
             pushed = table.get(~x * n + t)
             if pushed is None:
-                return frozenset(), frozenset({(~x, t)})
+                return TargetSearch(frozenset(), True, frozenset({(~x, t)}), cells)
             cells += 1
             if cells > max_cells:
                 return None
             before += pushed
-    return frozenset({(tuple(right), tuple(reversed(after)))}), frozenset()
+    target = (tuple(right), tuple(reversed(after)))
+    return TargetSearch(frozenset({target}), True, frozenset(), cells)
 
 
 def _target_sets(p: Presentation, u: Word, v: Word, b: Budget) -> TargetSearch:
@@ -414,10 +389,10 @@ def _target_sets(p: Presentation, u: Word, v: Word, b: Budget) -> TargetSearch:
             stuck.add((s, t))
         acc: set[tuple[int, int]] = set()
         for tile in options:
-            steps += 1
-            if steps > b.max_cells:
+            if steps >= b.max_cells:
                 cut = cut or "max_cells"
                 break
+            steps += 1
             for a1, c in (yield prepend(tile.right, 0), v2):
                 for u1, v1 in (yield u2, prepend(tile.bottom, c)):
                     acc.add((prepend(spell(a1), u1), v1))

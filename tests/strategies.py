@@ -55,6 +55,24 @@ def artin_presentations(draw) -> rv.Presentation:
     return rv.make_presentation(letters, rels)
 
 
+@st.composite
+def multi_relation_presentations(draw) -> rv.Presentation:
+    """Homogeneous presentations on 2-3 letters with unit weights and, for
+    each two letters s, t, 1-3 relations s... = t..., as the paper allows,
+    so that most cells take several relation tiles."""
+    n = draw(st.integers(2, 3))
+    letters = [f"x{i}" for i in range(n)]
+    rels = []
+    for s in range(n):
+        for t in range(s + 1, n):
+            for _ in range(draw(st.integers(1, 3))):
+                k = draw(st.integers(0, 2))
+                tail = st.lists(st.integers(0, n - 1), min_size=k, max_size=k)
+                lhs, rhs = [s] + draw(tail), [t] + draw(tail)
+                rels.append(([letters[i] for i in lhs], [letters[i] for i in rhs]))
+    return rv.make_presentation(letters, rels)
+
+
 def with_mirror(p: rv.Presentation) -> rv.Presentation:
     """p with the reverse of each relation added, so that the identity
     letter map is an isomorphism from its mirror onto it."""

@@ -10,7 +10,7 @@ class budget is the one under the default budget, that the default
 budget shares one cache entry however it is passed, that the defect
 builds no class map its cached run built, and that threads taking the
 defect of one cached run get the serial result and leave the run as it
-was.
+was, and that threads that both miss one key get the run stored first.
 """
 
 from __future__ import annotations
@@ -175,4 +175,32 @@ def test_threads_share_one_cached_run():
     assert run.class_ids == ids and run.classes == classes
     info = rv.check_completeness.cache_info()
     assert (info.hits, info.misses) == (9, 1)
+    rv.check_completeness.cache_clear()
+
+
+def test_threads_that_miss_one_key_get_the_run_stored_first(monkeypatch):
+    # Both threads miss the cache before either run is stored, so each
+    # runs the check; the run stored first is kept, and both get its report.
+    p = rv.colored_braid(3, ["a", "b"])
+    rv.check_completeness.cache_clear()
+    barrier, run_check = threading.Barrier(2), completeness._check_completeness
+
+    def both_missed(*args):
+        barrier.wait(timeout=60)
+        return run_check(*args)
+
+    monkeypatch.setattr(completeness, "_check_completeness", both_missed)
+    out: list = [None] * 2
+
+    def work(k: int) -> None:
+        out[k] = rv.check_completeness(p)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    assert out[0] is out[1] is completeness._RUNS.entries[p, rv.DEFAULT_BUDGET].report
+    assert rv.check_completeness.cache_info().misses == 2
     rv.check_completeness.cache_clear()

@@ -22,7 +22,7 @@ import reversal as rv
 from reversal.completeness import Verdict
 from reversal.congruence import rewrite_neighbors
 from test_compiled import scan_rewrite_neighbors
-from strategies import artin_presentations, symmetric_presentations
+from strategies import artin_presentations, multi_relation_presentations, symmetric_presentations
 
 # Generator tokens by the grammar [A-Za-z][A-Za-z0-9_.^-]*, at most 4 long.
 TOKENS = st.builds(
@@ -71,10 +71,10 @@ def test_rewrite_index_finds_what_a_scan_finds(p, data):
             assert rewrite_neighbors(q, w) == scan_rewrite_neighbors(q, w)
 
 
-@PROPERTY_SETTINGS
-@given(presentations(epsilon=False), st.data())
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.one_of(presentations(epsilon=False), multi_relation_presentations()), st.data())
 def test_grid_json_round_trips(p, data):
-    word = st.lists(st.integers(0, len(p.letters) - 1), max_size=3).map(tuple)
+    word = st.lists(st.integers(0, len(p.letters) - 1), max_size=4).map(tuple)
     u, v = data.draw(word), data.draw(word)
     outcome = rv.reverse_enumerate(p, u, v, rv.Budget(max_cells=200, max_grids=20))
     for g in outcome.grids:
@@ -82,12 +82,12 @@ def test_grid_json_round_trips(p, data):
         assert rv.grid_from_json(p, doc) == g
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(symmetric_presentations(), st.data())
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.one_of(symmetric_presentations(), multi_relation_presentations()), st.data())
 def test_enumerated_grids_replay_and_close_their_square(p, data):
     # Every grid from (u, v), to (u1, v1), is a grid of p, is its own
     # replay, and has u·v1 ≡ v·u1 by the bidirectional search.
-    word = st.lists(st.integers(0, len(p.letters) - 1), max_size=3).map(tuple)
+    word = st.lists(st.integers(0, len(p.letters) - 1), max_size=4).map(tuple)
     u, v = data.draw(word), data.draw(word)
     outcome = rv.reverse_enumerate(p, u, v, rv.Budget(max_cells=200, max_grids=20))
     for g in outcome.grids:
