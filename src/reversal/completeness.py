@@ -27,8 +27,9 @@ carries a pair from the first of its sources (`symmetry.carriers`) whose
 record holds the pair's representative: the cached run over the
 presentation's mirror, when there is one and the identity letter map
 verifies as an isomorphism from the mirror onto the presentation, then
-the run's own orbits.  Their tables and symmetries are compiled data of
-the presentation, and a run adds its record.  A carried report holds its
+the run's own orbits.  Their tables and letter maps are compiled data of
+the presentation, plain ints; a run adds its record and builds a
+`symmetry.Symmetry` per letter map.  A carried report holds its
 status; the first read of its grids, matching or witness carries both
 sides of its pair, for both reports (`symmetry._Carried`).  The finished
 run's context is the cache entry: the report, the run's record (the

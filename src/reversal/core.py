@@ -19,13 +19,14 @@ table (what each cell's tile pushes in reversing), its rewrite index
 (the oriented relations with distinct sides, by the letter pair a match
 starts with), its oriented relation pairs, its mirror, its orbit table
 (its verified automorphisms and the orbits of (generator, relation)
-pairs under them) and, from `symmetry`, its tile index, which holds the
-maps that carry grids.  Each is built lazily from the presentation alone
-and never changes; none caches a computed result.  Racing threads get
-one tile table, mirror and tile index, kept by `setdefault`: carried
-grids go by tile identity.  They are not fields, so equality, `repr`,
-copies and pickles ignore them, and a derived presentation compiles its
-own, except that a presentation shares its orbit table with its mirror.
+pairs under them) and its mirror table (the letter maps that carry runs
+over its mirror onto it); the last two come from `symmetry` and hold
+plain ints.  Each is built lazily from the presentation alone and never
+changes; none caches a computed result.  Racing threads get one mirror,
+kept by `setdefault`, so that the mirror's mirror is the presentation
+itself.  They are not fields, so equality, `repr`, copies and pickles
+ignore them, and a derived presentation compiles its own, except that a
+presentation shares its orbit table with its mirror.
 """
 
 from __future__ import annotations
@@ -189,7 +190,7 @@ class Presentation:
                             orientation=orientation,
                         )
                     )
-        return vars(self).setdefault("tile_table", {st: tuple(ts) for st, ts in table.items()})
+        return {st: tuple(ts) for st, ts in table.items()}
 
     @cached_property
     def deterministic(self) -> bool:
@@ -261,6 +262,15 @@ class Presentation:
         from .symmetry import orbits  # symmetry imports this module
 
         return orbits(self)
+
+    @cached_property
+    def from_mirror(self) -> tuple | None:
+        """The table and letter maps that carry runs over `mirrored` onto
+        self, from `symmetry.from_mirror`, or None if the identity does not
+        map the mirror onto self.  Plain ints, as `orbits` is."""
+        from .symmetry import from_mirror  # symmetry imports this module
+
+        return from_mirror(self.mirrored, self)
 
     def letter(self, token: str) -> int:
         try:

@@ -598,36 +598,23 @@ def render_grid(g: Grid) -> str:
     """Deterministic ASCII drawing: lattice lines, one label per edge
     segment, ε segments labelled explicitly.  Raises GridError, as
     `replay` does, when the trace does not fit."""
+    from fractions import Fraction  # on first drawing, not at every import of the package
+
     u, v = g.source
-    # A tile splits each input's interval evenly among its outputs, so a
-    # segment spans 1/d of a source letter for some integer d.  A first
-    # replay finds the lcm of those d; the drawing replay then places
-    # every edge at an integer coordinate, scaled by it.
-    scale = 1
-
-    def carry_parts(tile: Tile, left: tuple, top: tuple) -> tuple[list, list]:
-        nonlocal scale
-        right, bottom = _segs(tile.right), _segs(tile.bottom)
-        d_right, d_bottom = left[1] * len(right), top[1] * len(bottom)
-        scale = math.lcm(scale, d_right, d_bottom)
-        return _pairs(right, d_right), _pairs(bottom, d_bottom)
-
-    _replay_trace(_pairs(u, 1), _pairs(v, 1), g.choice_cells(), carry_parts)
-    if not g.cells:
-        return f"({_fmt_word(g.letters, u)}, {_fmt_word(g.letters, v)})"
-
     hedges: dict[tuple, str] = {}
     vedges: dict[tuple, str] = {}
 
     def label(seg) -> str:
         return EPS_LABEL if seg is None else g.letters[seg]
 
-    def split(segs: tuple, a: int, c: int) -> list[tuple]:
-        step = (c - a) // len(segs)
-        return [(s, (a + i * step, a + (i + 1) * step)) for i, s in enumerate(segs)]
+    def split(segs: tuple, a, c) -> list[tuple]:
+        # A tile splits each input's interval evenly among its outputs.
+        n = len(segs)
+        return [(s, (a + (c - a) * i / n, a + (c - a) * (i + 1) / n)) for i, s in enumerate(segs)]
 
     def carry(tile: Tile, left: tuple, top: tuple) -> tuple[list, list]:
-        """Outputs carry their intervals; every edge met is recorded."""
+        """Outputs carry their intervals, exact fractions of a source
+        letter; every edge met is recorded."""
         (ell, (y0, y1)), (t, (x0, x1)) = left, top
         hedges.setdefault((y0, x0, x1), label(t))
         vedges.setdefault((x0, y0, y1), label(ell))
@@ -639,8 +626,10 @@ def render_grid(g: Grid) -> str:
             vedges.setdefault((x1, a, c), label(s))
         return right, bottom
 
-    left, top = split(u, 0, len(u) * scale), split(v, 0, len(v) * scale)
+    left, top = split(u, Fraction(0), Fraction(len(u))), split(v, Fraction(0), Fraction(len(v)))
     _replay_trace(left, top, g.choice_cells(), carry)
+    if not g.cells:
+        return f"({_fmt_word(g.letters, u)}, {_fmt_word(g.letters, v)})"
 
     xs = sorted({x for (_, a, c) in hedges for x in (a, c)} | {x for (x, _, _) in vedges})
     ys = sorted({y for (y, _, _) in hedges} | {y for (_, a, c) in vedges for y in (a, c)})

@@ -15,13 +15,15 @@ once per presentation (`Presentation.orbits`, shared with the mirror).
 
 `check_completeness` checks the first pair of each orbit.  Every other
 pair gets its reports by carrying the representative's grids through σ
-(`Symmetry`), re-sorting them by trace as `reverse_enumerate` does (an
-image cell may list its tiles in another order than their keys), and
-matching them by the preimages' class keys.  A carried report holds its
-status at once; the first read of its grids, matching or witness, on
-either report of the pair, carries both sides once (`_Carried`).  An
-orbit whose representative is inconclusive or meets an incomplete class
-is checked pair by pair.
+(`Symmetry`), tile by tile: each tile maps, by its value, to the target's
+own tile of the image cell with the image relation and orientation.  The
+images are re-sorted by trace as `reverse_enumerate` does (an image cell
+may list its tiles in another order than their keys) and matched by the
+preimages' class keys.  A carried report holds its status at once; the
+first read of its grids, matching or witness, on either report of the
+pair, carries both sides once (`_Carried`).  An orbit whose
+representative is inconclusive or meets an incomplete class is checked
+pair by pair.
 
 Reversing every relation gives back the same relation set in the braid
 and colored braid monoids, so there the identity is a letter map from a
@@ -32,16 +34,17 @@ each a table, pair -> (its representative, the index of the symmetry
 carrying that onto it), with the record of representatives it reads and
 the symmetries.  A pair comes from the first source whose record holds
 its representative, and is checked itself when none does: no run records
-an inconclusive pair or one that meets an incomplete class.  Tables and
-symmetries are compiled data of p (`tile_index`); a run adds its record.
-A carried grid's target words are its own, shared with no other grid.
+an inconclusive pair or one that meets an incomplete class.  The tables
+and letter maps are compiled data of p, plain ints
+(`Presentation.orbits`, `Presentation.from_mirror`); a run adds its
+record and a `Symmetry` per letter map.  A carried grid's target words
+are its own, shared with no other grid.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 from .core import Presentation, Relation, Tile, Word
@@ -210,144 +213,88 @@ def first_index(keys: Sequence[ClassKey]) -> dict[ClassKey, int]:
     return {key: j for j, key in reversed(list(enumerate(keys)))}
 
 
-class _TileIndex:
-    """The tiles a grid of p can hold, indexed for carrying grids, and the
-    symmetries that carry grids onto p; each is built on first read.  One
-    per presentation, as its compiled data (`tile_index`)."""
-
-    def __init__(self, p: Presentation) -> None:
-        self.p = p
-
-    @cached_property
-    def symmetries(self) -> list[Symmetry]:
-        """The automorphisms of `p.orbits`, in order."""
-        return [Symmetry(*sym, self, self) for sym in self.p.orbits[0]]
-
-    @cached_property
-    def from_mirror(self) -> tuple[dict, list[Symmetry]] | None:
-        return from_mirror(self.p.mirrored, self.p)
-
-    @cached_property
-    def all_tiles(self) -> list[Tile]:
-        """The tile table's tiles and the forced tiles of ε cells, by key."""
-        p = self.p
-        out = [t for ts in p.tile_table.values() for t in ts] + list(tiles(p, None, None))
-        for x in range(len(p.letters)):
-            out += tiles(p, x, None) + tiles(p, None, x)
-        return sorted(out, key=Tile.key)
-
-    @cached_property
-    def ranks(self) -> dict[int, int]:
-        """id of each tile -> its rank, its index in `all_tiles`: tuples of
-        ranks sort as `Grid.trace_key` does."""
-        return {id(t): r for r, t in enumerate(self.all_tiles)}
-
-    @cached_property
-    def by_relation(self) -> dict[tuple[int, int], Tile]:
-        """The relation tiles by (relation index, orientation)."""
-        return {
-            (t.rel_index, t.orientation): t for t in self.all_tiles if t.rel_index is not None
-        }
-
-
 @dataclass(eq=False, repr=False)
 class Symmetry:
-    """One verified letter map σ onto a presentation, from itself (an
-    automorphism) or from another presentation (its mirror), and how it
-    carries grids.  `source` and `target` index the tiles of the two
-    presentations."""
+    """One verified letter map σ onto `target`, from the target itself (an
+    automorphism) or from its mirror, and how it carries grids."""
 
     sigma: tuple[int, ...]
     images: Images
-    source: _TileIndex
-    target: _TileIndex
+    target: Presentation
 
     def word(self, w: Word) -> Word:
         return tuple(map(self.sigma.__getitem__, w))
 
-    @cached_property
-    def tile_maps(self) -> tuple[tuple[Tile, ...], tuple[int, ...]]:
-        """By the rank of each source tile: its image, the target's own
-        tile; and that image's rank."""
-        p, sigma, by_relation = self.target.p, self.sigma, self.target.by_relation
-        image_of: list[Tile] = []
-        for t in self.source.all_tiles:
-            if t.rel_index is not None:
-                index, flip = self.images[t.rel_index]
-                image_of.append(by_relation[index, t.orientation ^ flip])
-            else:  # a cancellation or forced tile, the only one of its cell
-                left = None if t.left is None else sigma[t.left]
-                top = None if t.top is None else sigma[t.top]
-                image_of.append(tiles(p, left, top)[0])
-        ranks = self.target.ranks
-        return tuple(image_of), tuple([ranks[id(image)] for image in image_of])
+    def tile(self, t: Tile) -> Tile:
+        """The target's tile that t maps to: in the image cell, a relation
+        tile's image relation and orientation, or the cell's only tile."""
+        sigma = self.sigma
+        left = None if t.left is None else sigma[t.left]
+        top = None if t.top is None else sigma[t.top]
+        cell = tiles(self.target, left, top)
+        if t.rel_index is None:  # a cancellation or forced tile
+            return cell[0]
+        index, flip = self.images[t.rel_index]
+        orientation = t.orientation ^ flip
+        return next(u for u in cell if u.rel_index == index and u.orientation == orientation)
 
     def grids(
         self, grids: tuple[Grid, ...], source: tuple[Word, Word]
     ) -> tuple[tuple[Grid, ...], list[int]]:
         """The images of `grids`, all from `source`, in trace order, and the
-        index of each one's preimage.  Images sort by the ranks of their
-        tiles as by trace."""
-        images, image_ranks = self.tile_maps
-        rank = self.source.ranks.__getitem__
-        ranks = [list(map(rank, map(id, g.cells))) for g in grids]
-        order = sorted(range(len(ranks)), key=lambda i: [image_ranks[r] for r in ranks[i]])
-        letters, word, image = self.target.p.letters, self.word, images.__getitem__
-        return tuple(
-            Grid(letters, source, tuple(map(word, grids[i].target)), tuple(map(image, ranks[i])))
-            for i in order
-        ), order
+        index of each one's preimage."""
+        letters, word, tile = self.target.letters, self.word, self.tile
+        images = [
+            Grid(letters, source, tuple(map(word, g.target)), tuple(map(tile, g.cells)))
+            for g in grids
+        ]
+        order = sorted(range(len(images)), key=lambda i: images[i].trace_key())
+        return tuple(images[i] for i in order), order
 
 
-def tile_index(p: Presentation) -> _TileIndex:
-    """p's tile index, compiled data of p (see `core`), built here, not by a
-    property of p, which would import the package's current module: it
-    holds this module's tiles, and another import builds its own per call."""
-    index = vars(p).get("tile_index") or vars(p).setdefault("tile_index", _TileIndex(p))
-    return index if type(index) is _TileIndex else _TileIndex(p)
-
-
-def from_mirror(source: Presentation, p: Presentation) -> tuple[dict, list[Symmetry]] | None:
+def from_mirror(source: Presentation, p: Presentation) -> tuple[dict, tuple] | None:
     """If the identity m verifies as a letter map from `source`, p's mirror,
-    onto p, the table and symmetries that carry its runs onto p: m∘σ for
-    the k-th σ of its orbits at index k, then m; every pair of p from its
-    m-preimage if a representative, else from σ's representative by m∘σ."""
+    onto p, the table and letter maps (σ, relation images) that carry its
+    runs onto p: m∘σ for the k-th σ of its orbits at index k, then m; every
+    pair of p from its m-preimage if a representative, else from σ's
+    representative by m∘σ.  Plain ints, compiled once per presentation as
+    `Presentation.from_mirror`."""
     identity = tuple(range(len(p.letters)))
     images = automorphism_relations(source, identity, p)
     if images is None:
         return None
     automorphisms, carried = source.orbits
-    if source == p.mirrored:  # an equal copy of p's mirror: its orbits are p's
-        vars(p).setdefault("orbits", source.orbits)
-    origin, index = tile_index(source), tile_index(p)
     # m∘σ maps a relation to m's image of its σ image, flipped where σ flips.
     pick = (images, tuple((j, 1 - flip) for j, flip in images))
-    syms = [
-        Symmetry(sigma, tuple([pick[flip][i] for i, flip in by_sigma]), origin, index)
+    maps = [
+        (sigma, tuple([pick[flip][i] for i, flip in by_sigma]))
         for sigma, by_sigma in automorphisms
     ]
-    syms.append(Symmetry(identity, images, origin, index))
+    maps.append((identity, images))
     m = [j for j, _ in images]
     table = {(s, m[i]): ((s, i), len(automorphisms)) for s in identity for i in range(len(m))}
     table.update({(s, m[i]): entry for (s, i), entry in carried.items()})
-    return table, syms
+    return table, tuple(maps)
 
 
 def carriers(
     p: Presentation, record: Record, mirror: tuple[Presentation, Record] | None = None
 ) -> list[Source]:
     """Where a run over p carries reports from, in the order it tries them:
-    a finished run over p's mirror, given as `mirror` (that presentation
-    and its run's record), if `from_mirror` carries it onto p; then p's own
-    orbits, with `record`.  Tables and symmetries are p's `tile_index`'s."""
-    index, out = tile_index(p), []
+    a finished run over p's mirror, given as `mirror` (a presentation equal
+    to `p.mirrored` and its run's record), if `p.from_mirror` carries it
+    onto p; then p's own orbits, with `record`.  The tables are compiled
+    data of p; the run gets its own `Symmetry` per letter map."""
+    out = []
     if mirror is not None:
         source, recorded = mirror
-        # An equal copy of p.mirrored gets its own: tile maps go by the identity of tiles.
-        carry = index.from_mirror if source is p.mirrored else from_mirror(source, p)
-        if carry is not None:
-            out.append((carry[0], recorded, carry[1]))
-    out.append((p.orbits[1], record, index.symmetries))
+        if source is not p.mirrored:  # an equal copy: its orbits are p.mirrored's
+            vars(p.mirrored).setdefault("orbits", source.orbits)
+        if p.from_mirror is not None:
+            table, maps = p.from_mirror
+            out.append((table, recorded, [Symmetry(*m, p) for m in maps]))
+    automorphisms, table = p.orbits
+    out.append((table, record, [Symmetry(*m, p) for m in automorphisms]))
     return out
 
 

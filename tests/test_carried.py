@@ -339,8 +339,8 @@ def test_threads_share_the_run_cache():
 
 
 def test_threads_compiling_carry_data_get_the_serial_reports():
-    # The tile index, the symmetries and the mirror's table are compiled
-    # data of the presentations, built by whichever run reads them first.
+    # The tile tables, orbit tables and mirror tables are compiled data of
+    # the presentations, built by whichever run reads them first.
     # Here 4 threads start together on fresh presentations, two with p
     # first and two with its mirror first, and read every report.
     def runs(p) -> list:
@@ -355,7 +355,7 @@ def test_threads_compiling_carry_data_get_the_serial_reports():
             rv.check_completeness.cache_clear()
             p = rv.colored_braid(4, ["a", "b"])
             p.mirrored
-            assert not {"tile_table", "tile_index"} & set(vars(p) | vars(p.mirrored))
+            assert not {"tile_table", "from_mirror"} & set(vars(p) | vars(p.mirrored))
             barrier = threading.Barrier(4)
             results: list = [None] * 4
 
@@ -445,7 +445,7 @@ def held_by_run(p, after=None) -> tuple:
     cached first if given; and its report."""
     for q in (p, p.mirrored):  # compiled data belongs to the presentations
         q.tile_table, q.rewrite_index, q.orbits, q.oriented_relations
-        symmetry.carriers(q, {}, (q.mirrored, {}))  # compiles `tile_index` and its tables
+        symmetry.carriers(q, {}, (q.mirrored, {}))  # compiles `from_mirror`
     rv.check_completeness.cache_clear()
     if after is not None:
         rv.check_completeness(after)
@@ -485,11 +485,12 @@ def test_a_mirror_carried_cached_report_holds_little_memory():
 
 def test_compiled_carry_data_holds_little_memory():
     # colored_braid(4,{a,b,c}) and its mirror with all their compiled data,
-    # after a left and a right verdict, held 0.29 MB; 0.22 MB when each run
-    # built its own symmetries, tile indexes and mirror table.  The runs
-    # over restricted_colored(5,{a,b,c}) read the tile maps of 23
-    # symmetries: it held 0.59 MB, 1.08 MB with tile maps as dicts keyed
-    # by tile, 0.35 MB when each run built its own.
+    # after a left and a right verdict, held 0.28 MB (tracemalloc, Python
+    # 3.11).  restricted_colored(5,{a,b,c}) and its mirror, after both runs
+    # and every witness read, held 0.46 MB with plain-int mirror tables and
+    # tiles carried by value; 0.60 MB with a tile-rank index and tile maps
+    # per symmetry as compiled data, 1.08 MB with tile maps as dicts keyed
+    # by tile.
     rv.check_completeness.cache_clear()
     gc.collect()
     tracemalloc.start()
@@ -503,5 +504,5 @@ def test_compiled_carry_data_holds_little_memory():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert "from_mirror" in vars(symmetry.tile_index(p.mirrored))
+    assert "from_mirror" in vars(p.mirrored)
     assert held < 400_000

@@ -1,6 +1,6 @@
 """The compiled data of a presentation: its cached hash, tile table,
 deterministic flag, reversal table, rewrite index, mirror, orbit table
-and the symmetries that carry grids onto it.
+and mirror table, the last two the letter maps that carry grids onto it.
 
 The indexes must give exactly what a scan over all relations gives, in
 the same order; the scans below are kept as the reference.  The hash and
@@ -159,7 +159,7 @@ def test_compiled_data_is_not_part_of_the_value(colored42):
     fresh = rv.colored_braid(4, ["a", "b"])
     compiled = {
         "_hash", "tile_table", "deterministic", "reversal_table", "rewrite_index",
-        "mirrored", "orbits", "tile_index",
+        "mirrored", "orbits", "from_mirror",
     }
     hash(colored42), colored42.tile_table, colored42.rewrite_index
     colored42.deterministic, colored42.reversal_table, colored42.mirrored
@@ -173,3 +173,57 @@ def test_compiled_data_is_not_part_of_the_value(colored42):
     for clone in (copy.copy(colored42), pickle.loads(pickle.dumps(colored42))):
         assert not compiled & set(vars(clone))
         assert clone == colored42 and hash(clone) == hash(colored42)
+
+
+def holds_a_tile(value: object) -> bool:
+    """Whether a Tile is reachable from `value` through containers and
+    object attributes, not entering presentations."""
+    stack, seen = [value], set()
+    while stack:
+        item = stack.pop()
+        if isinstance(item, Tile):
+            return True
+        if id(item) in seen or isinstance(item, (rv.Presentation, str, int)):
+            continue
+        seen.add(id(item))
+        if isinstance(item, dict):
+            stack += list(item.keys()) + list(item.values())
+        elif isinstance(item, (tuple, list, set, frozenset)):
+            stack += list(item)
+        elif hasattr(item, "__dict__"):
+            stack += list(vars(item).values())
+    return False
+
+
+def test_carrying_data_is_plain_and_compiled_once(monkeypatch):
+    # Only the tile table holds tiles, also once every carried grid is
+    # read: the tables and letter maps that carry grids are plain data.  So
+    # a presentation compiles its mirror table once, even for runs over
+    # equal copies of its mirror.
+    calls = []
+    carry = symmetry.from_mirror
+
+    def counted(source, p):
+        calls.append(p)
+        return carry(source, p)
+
+    monkeypatch.setattr(symmetry, "from_mirror", counted)
+    p = rv.colored_braid(4, ["a", "b"])
+    rv.check_completeness.cache_clear()
+    assert rv.check_left_cancellative(p).status.value == "cancellative"
+    assert rv.check_right_cancellative(p).status.value == "cancellative"
+    assert len(calls) == 1 and calls[0] is p.mirrored
+    for q in (p, p.mirrored):  # carry every carried grid
+        for rep in rv.check_completeness(q).pairs:
+            rep.src_grids, rep.dst_grids
+    for q in (p, p.mirrored):
+        for name, value in vars(q).items():
+            assert name == "tile_table" or not holds_a_tile(value), name
+    q = rv.colored_braid(4, ["a", "b"])
+    calls.clear()
+    for _ in range(2):
+        rv.check_completeness.cache_clear()
+        rv.check_completeness(rv.mirror(q))
+        assert all("_carried" in vars(rep) for rep in rv.check_completeness(q).pairs)
+    assert len(calls) == 1 and calls[0] is q
+    rv.check_completeness.cache_clear()

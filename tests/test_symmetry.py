@@ -22,7 +22,9 @@ from hypothesis import strategies as st
 
 import reversal as rv
 from conftest import catalog_presentations, direct_pairs
-from strategies import artin_presentations, symmetric_presentations, with_mirror
+from strategies import (
+    artin_presentations, multi_relation_presentations, symmetric_presentations, with_mirror
+)
 from reversal import symmetry
 from reversal.completeness import (
     RHS_TO_LHS,
@@ -142,13 +144,11 @@ def test_mirror_reuses_the_automorphisms():
 
 
 def test_one_search_and_one_verification_per_presentation(monkeypatch):
-    # Each presentation indexes its tiles once, as compiled data: a second
-    # run over p indexes none, nor does the defect.  The run over the
-    # mirror verifies the identity map from p onto it once, and indexes
-    # the mirror's tiles.
-    searched, verified, indexed = [], [], []
-    search, verify = find_automorphisms, automorphism_relations
-    index_init = symmetry._TileIndex.__init__
+    # The run over the mirror verifies the identity map from p onto it
+    # once, and compiles the mirror's table once, as compiled data of
+    # p.mirrored: a second run over p compiles none, nor does the defect.
+    searched, verified, compiled = [], [], []
+    search, verify, carry = find_automorphisms, automorphism_relations, symmetry.from_mirror
 
     def counted_search(p):
         searched.append(p)
@@ -158,13 +158,13 @@ def test_one_search_and_one_verification_per_presentation(monkeypatch):
         verified.append(sigma)
         return verify(p, sigma, q)
 
-    def counted_index(self, p):
-        indexed.append(p)
-        index_init(self, p)
+    def counted_from_mirror(source, p):
+        compiled.append(p)
+        return carry(source, p)
 
     monkeypatch.setattr(symmetry, "find_automorphisms", counted_search)
     monkeypatch.setattr(symmetry, "automorphism_relations", counted_verify)
-    monkeypatch.setattr(symmetry._TileIndex, "__init__", counted_index)
+    monkeypatch.setattr(symmetry, "from_mirror", counted_from_mirror)
     p = rv.colored_braid(4, ["a", "b"])
     rv.check_completeness.cache_clear()
     assert rv.check_completeness(p).verdict is Verdict.COMPLETE
@@ -175,7 +175,7 @@ def test_one_search_and_one_verification_per_presentation(monkeypatch):
     assert searched == [p]
     identity = tuple(range(len(p.letters)))
     assert verified == non_identity(search(p)[0]) + [identity] and len(verified) > 1
-    assert indexed == [p, p.mirrored]
+    assert len(compiled) == 1 and compiled[0] is p.mirrored
 
 
 def test_an_equal_copy_of_the_mirror_lends_its_orbits(monkeypatch):
@@ -194,9 +194,9 @@ def test_an_equal_copy_of_the_mirror_lends_its_orbits(monkeypatch):
     assert rv.defect(q).value is not None
     assert searched == [copy]
     assert q.orbits is copy.orbits
-    # Tile maps go by the identity of tiles, so the run over q built its
-    # mirror table for the copy and did not compile it.
-    assert "from_mirror" not in vars(symmetry.tile_index(q))
+    # The copy equals q.mirrored, so q's compiled mirror table served the
+    # run over q.
+    assert "from_mirror" in vars(q)
     rv.check_completeness.cache_clear()
 
 
@@ -266,6 +266,36 @@ def test_mirror_carried_grids_equal_enumeration_of_the_image():
     assert len(symmetry.carriers(m.mirrored, {}, (m, {}))) == 1
 
 
+def test_mirror_carried_grids_equal_enumeration_on_multi_relation_presentations():
+    # Cells with several relation tiles: a carried relation tile is the
+    # image cell's tile of its image relation and orientation.
+    b = rv.Budget(max_cells=40, max_grids=40)
+    seen = {"grids": 0, "several": 0}
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(multi_relation_presentations().map(with_mirror))
+    def check(p):
+        q = p.mirrored
+        (_, _, syms), _ = symmetry.carriers(q, {}, (p, {}))
+        for sym in syms:
+            for s in range(len(p.letters)):
+                for side in {side for rel in p.relations for side in (rel.lhs, rel.rhs)}:
+                    out = rv.reverse_enumerate(p, (s,), side, b)
+                    source = (sym.word((s,)), sym.word(side))
+                    want = rv.reverse_enumerate(q, *source, b)
+                    assert out.completed == want.completed
+                    if out.completed:
+                        assert sym.grids(out.grids, source)[0] == want.grids, (sym.sigma, s, side)
+                        seen["grids"] += len(want.grids)
+                        seen["several"] += sum(
+                            any(len(q.tile_table.get((c.left, c.top), ())) > 1 for c in g.cells)
+                            for g in want.grids
+                        )
+
+    check()
+    assert seen["several"] and seen["grids"], seen
+
+
 def test_check_completeness_equals_standalone_diamonds():
     cases = dict(catalog_presentations())
     cases["cb3abc"] = rv.colored_braid(3, ["a", "b", "c"])
@@ -319,10 +349,10 @@ def test_node_cap_stops_the_search_and_keeps_the_reports():
 def test_first_import_keeps_working_after_a_second_import():
     """A process may import the package again under the same names, as the
     benchmark's set-up does.  The first import's modules must keep working:
-    the orbit table is built by whichever import is current, so it holds
-    plain ints only, and the transport comes with the first import.  The
-    second import must work on the first one's presentations, whose tile
-    index holds the first import's tiles."""
+    the orbit and mirror tables are built by whichever import is current,
+    so they hold plain ints only, and the transport comes with the first
+    import.  The second import must work on the first one's presentations,
+    whose tile tables hold the first import's tiles."""
     import importlib
     import sys
 
@@ -359,8 +389,8 @@ def test_first_import_keeps_working_after_a_second_import():
             direct = rv.check_diamond(q, rep.generator, rep.relation)
             assert rep.witness == direct[rep.direction == RHS_TO_LHS].witness
             assert type(rep.witness) is rv.Grid and rv.check_grid(q, rep.witness).ok
-        # The second import over a presentation whose tile index the first
-        # compiled: it carries with its own tiles.
+        # The second import over a presentation whose orbit and mirror
+        # tables the first compiled: plain ints, which it carries with.
         second = sys.modules["reversal"]
         second.check_completeness.cache_clear()
         for side in (q, q.mirrored):
