@@ -136,7 +136,7 @@ def entry(
         raise PresentationError(
             f"unknown catalog entry {name!r}; choose from {sorted(CATALOG)}"
         )
-    color_list = list(colors) if colors else ["a", "b"]
+    color_list = ["a", "b"] if colors is None else list(colors)
     p = CATALOG[name](n, color_list)
     takes_n = name != "malcev"
     takes_colors = name in ("colored-braid", "restricted-colored")

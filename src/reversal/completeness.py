@@ -28,13 +28,17 @@ record holds the pair's representative: the cached run over the
 presentation's mirror, when there is one and the identity letter map
 verifies as an isomorphism from the mirror onto the presentation, then
 the run's own orbits.  Their tables and letter maps are compiled data of
-the presentation, plain ints; a run adds its record and builds a
-`symmetry.Symmetry` per letter map.  A carried report holds its
-status; the first read of its grids, matching or witness carries both
-sides of its pair, for both reports (`symmetry._Carried`).  The finished
-run's context is the cache entry: the report, the run's record (the
-reports and class keys of its recorded representatives), and its class
-maps and class ids.  No run keeps a store of carried words.
+the presentation, plain ints; a run adds its record and builds, per
+letter map of each source, a `symmetry.Symmetry` and a `_Carrier`, which
+every report carried along that map points at.  A carried report is a slotted
+`DiamondReport` holding its generator, relation, direction and status
+(and `exhausted` on a counterexample); the first read of its grids,
+matching or witness carries both sides of its pair once, for both
+reports, and matches them by their preimages' class keys as
+`_one_direction` does (`_fill`).  The finished run's context is the
+cache entry: the report, the run's record (the reports and class keys of
+its recorded representatives), and its class maps and class ids.  No run
+keeps a store of carried words.
 
 The defect of a complete presentation is the worst, over all triples
 (s, relation, grid), of the best total distance between the outputs of the
@@ -51,14 +55,18 @@ from __future__ import annotations
 import enum
 import threading
 from collections import OrderedDict, namedtuple
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property, partial
 from typing import Sequence
 
 from .congruence import DEFAULT_BUDGET, INFINITE, Budget, ClassMap, class_distances, word_distance
 from .core import Presentation, Relation, Word
 from .grids import Grid, grid_to_json, reverse_enumerate, reverse_targets
-from .symmetry import ClassKey, Pair, Record, Source, _Carried, carriers, first_index
+from .symmetry import Pair, Record, carriers
+
+# A grid's class key: the ids of its two targets' classes, or None when a
+# target's class map is incomplete.
+ClassKey = tuple[int, int] | None
 
 LHS_TO_RHS = "lhs->rhs"
 RHS_TO_LHS = "rhs->lhs"
@@ -76,8 +84,12 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class DiamondReport:
+class _Carriable:
+    __slots__ = ("_carried",)  # a carried report's `_Carrier`, until it is filled
+
+
+@dataclass(frozen=True, slots=True)
+class DiamondReport(_Carriable):
     generator: int
     relation: Relation
     direction: str
@@ -88,26 +100,83 @@ class DiamondReport:
     # whose targets are at finite distance (by w1's class map, then w2's);
     # None where no comparison matched.
     matching: tuple[int | None, ...]
-    # No class attribute, so that a carried report reaches `__getattr__`.
-    witness: Grid | None = field(default_factory=lambda: None)
+    witness: Grid | None = None
     exhausted: bool = False
     reason: str | None = None
 
     def __getattr__(self, name: str):
-        # Reached only for an attribute not set: see `_Carried`.
-        carried = None if name == "_carried" else getattr(self, "_carried", None)
-        if carried is None or name not in carried.on_read:
-            return object.__getattribute__(self, name)  # set meanwhile, or absent
-        if name == "witness" and not self.exhausted:
-            return None
-        where = (self.direction == RHS_TO_LHS, self.generator, self.relation)
-        vars(self).update(carried.fields(*where))
-        vars(self).pop("_carried", None)
-        return vars(self)[name]
+        # Reached only for a slot left unset, as on a carried report until
+        # the first read of a field `_ON_READ` fills it (`_fill`).
+        if name in _UNSET and (name != "witness" or not self.exhausted):
+            return _UNSET[name]
+        if name in _ON_READ:
+            _fill(self)
+        return object.__getattribute__(self, name)  # filled, or absent
 
-    def __getstate__(self) -> dict:
-        # The fields in field order, as an eager report pickles and copies.
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+def _report_state(report: DiamondReport) -> dict:
+    # The fields in field order, as an eager report pickles and copies.
+    return {f.name: getattr(report, f.name) for f in fields(report)}
+
+
+def _set_report_state(report: DiamondReport, state: dict) -> None:
+    for name, value in state.items():
+        object.__setattr__(report, name, value)
+
+
+# Set after the class: on Python 3.10, `dataclass` replaces a frozen slotted
+# class's own pair with one that pickles a list.
+DiamondReport.__getstate__, DiamondReport.__setstate__ = _report_state, _set_report_state
+
+# A carried report holds generator, relation, direction, status (and
+# exhausted on a counterexample) at once; the first read of a field
+# `_ON_READ` fills the rest.  Until then the fields `_UNSET` read their
+# defaults, and witness reads its default only on a report that is no
+# counterexample.
+_ON_READ = ("src_grids", "dst_grids", "matching", "witness")
+_UNSET = {"witness": None, "exhausted": False, "reason": None}
+_FILLING = threading.Lock()
+_set_generator, _set_relation, _set_direction, _set_status, _set_exhausted, _set_carried = (
+    getattr(DiamondReport, name).__set__
+    for name in ("generator", "relation", "direction", "status", "exhausted", "_carried")
+)
+
+
+# What one run carries from one source along one letter map: the
+# `symmetry.Symmetry` σ, the source's table and record, and `built`, the
+# two sides of each pair that one of its reports has carried and the other
+# has not yet read.  Every report it carries points at it until filled.
+_Carrier = namedtuple("_Carrier", "sym table record built")
+
+
+def _fill(report: DiamondReport) -> None:
+    """Fill the fields a carried report leaves unset.  The first report of
+    its pair to be read carries both sides of the representative through
+    σ, in trace order and with their preimages' class keys; both reports
+    are matched by those keys, as `_one_direction` matches keyed grids."""
+    with _FILLING:
+        try:
+            carrier = report._carried
+        except AttributeError:  # filled meanwhile
+            return
+        s, rel = report.generator, report.relation
+        pair = (s, rel.index)
+        sides = carrier.built.pop(pair, None)  # the pair's other report is filled
+        if sides is None:
+            rep = carrier.table[pair][0]
+            (fwd, _), keys = carrier.record[rep]
+            flip = carrier.sym.images[rep[1]][1]  # 1 when σ maps its lhs onto rel's rhs
+            sides = []
+            for k, side in enumerate((rel.lhs, rel.rhs)):
+                preimages = (fwd.src_grids, fwd.dst_grids)[k ^ flip]
+                grids, order = carrier.sym.grids(preimages, ((s,), side))
+                sides.append((grids, tuple(map(keys[k ^ flip].__getitem__, order))))
+            carrier.built[pair] = sides
+        (src, src_keys), (dst, dst_keys) = sides[::-1] if report.direction == RHS_TO_LHS else sides
+        filled = _one_direction(None, s, rel, report.direction, src, dst, src_keys, dst_keys)
+        for name in (*_ON_READ, "exhausted", "reason"):
+            object.__setattr__(report, name, getattr(filled, name))
+        object.__delattr__(report, "_carried")
 
 
 @dataclass(frozen=True)
@@ -126,7 +195,7 @@ class CompletenessReport:
 
 
 def _one_direction(
-    context: DiamondContext,
+    context: DiamondContext | None,
     s: int,
     rel: Relation,
     direction: str,
@@ -137,8 +206,9 @@ def _one_direction(
 ) -> DiamondReport:
     """Match each source grid with the first grid of `dst` whose targets
     are at finite distance: for a keyed source grid, the first with an
-    equal key; for one without, by comparing distances."""
-    first = first_index(dst_keys)
+    equal key; for one without, by comparing distances (the only use of
+    `context`)."""
+    first = {key: j for j, key in reversed(list(enumerate(dst_keys)))}
     matching: list[int | None] = []
     witness: Grid | None = None
     undecided = False
@@ -235,9 +305,13 @@ class DiamondContext:
         return None if second is None else (first, second)
 
     @cached_property
-    def sources(self) -> list[Source]:
-        """Where the run carries reports from (`symmetry.carriers`)."""
-        return carriers(self.p, self.representatives, self.mirror)
+    def sources(self) -> list[tuple[dict, Record, list[_Carrier]]]:
+        """Where the run carries reports from (`symmetry.carriers`), with a
+        `_Carrier` per letter map."""
+        return [
+            (table, record, [_Carrier(sym, table, record, {}) for sym in syms])
+            for table, record, syms in carriers(self.p, self.representatives, self.mirror)
+        ]
 
     def transported(
         self, s: int, rel: Relation
@@ -250,10 +324,10 @@ class DiamondContext:
         σ keeps congruence, so two carried grids have congruent targets
         exactly when their preimages' class keys are equal; each carried
         grid keeps its preimage's key.  So the pair's reports hold their
-        representative's statuses at once, and build their grids, matching
-        and witness on first read."""
+        representative's statuses at once, and are filled on first read
+        (`_fill`)."""
         pair = (s, rel.index)
-        for table, record, syms in self.sources:
+        for table, record, by_map in self.sources:
             entry = table.get(pair)
             data = None if entry is None else record.get(entry[0])
             if data is not None:
@@ -261,22 +335,18 @@ class DiamondContext:
         else:
             return None
         (rep, i), reports = entry, data[0]
-        sym = syms[i]
-        flip = sym.images[rep[1]][1]  # 1 when σ maps the lhs side onto rel's rhs side
-        carried = _Carried(sym, data, flip)
+        carrier = by_map[i]
+        flip = carrier.sym.images[rep[1]][1]  # 1 when σ maps the lhs side onto rel's rhs side
         out = (object.__new__(DiamondReport), object.__new__(DiamondReport))
         for k, report in enumerate(out):
             r = reports[k ^ flip]
-            # Through __dict__, cheaper than object.__setattr__; the fields left
-            # out read their class defaults, and no recorded report has a reason.
-            fields = vars(report)
-            fields["generator"] = s
-            fields["relation"] = rel
-            fields["direction"] = RHS_TO_LHS if k else LHS_TO_RHS
-            fields["status"] = r.status
-            fields["_carried"] = carried
+            _set_generator(report, s)
+            _set_relation(report, rel)
+            _set_direction(report, RHS_TO_LHS if k else LHS_TO_RHS)
+            _set_status(report, r.status)
+            _set_carried(report, carrier)
             if r.exhausted:  # a counterexample
-                fields["exhausted"] = True
+                _set_exhausted(report, True)
         return out
 
     def record(

@@ -1,7 +1,7 @@
 """Letter maps between presentations: the automorphisms of a
 presentation, the orbits of its (generator, relation) pairs, the identity
-map from a presentation's mirror onto it, and the transport of diamond
-reports along them.
+map from a presentation's mirror onto it, and the transport of grids
+along them.
 
 A letter map σ from p onto q is a bijection of the letters that keeps
 weights and maps the relation set of p onto that of q, each relation
@@ -18,12 +18,12 @@ pair gets its reports by carrying the representative's grids through σ
 (`Symmetry`), tile by tile: each tile maps, by its value, to the target's
 own tile of the image cell with the image relation and orientation.  The
 images are re-sorted by trace as `reverse_enumerate` does (an image cell
-may list its tiles in another order than their keys) and matched by the
-preimages' class keys.  A carried report holds its status at once; the
-first read of its grids, matching or witness, on either report of the
-pair, carries both sides once (`_Carried`).  An orbit whose
-representative is inconclusive or meets an incomplete class is checked
-pair by pair.
+may list its tiles in another order than their keys).  The reports
+themselves are `completeness`'s: a carried report holds its status at
+once, and the first read of its grids, matching or witness carries both
+sides of its pair and matches them by the preimages' class keys.  An
+orbit whose representative is inconclusive or meets an incomplete class
+is checked pair by pair.
 
 Reversing every relation gives back the same relation set in the braid
 and colored braid monoids, so there the identity is a letter map from a
@@ -43,19 +43,15 @@ are its own, shared with no other grid.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Presentation, Relation, Tile, Word
+from .core import Presentation, Tile, Word
 from .grids import Grid, tiles
 
 Pair = tuple[int, int]  # (generator, relation index)
 # Per relation: (index of its image, 1 if σ maps lhs to the image's rhs).
 Images = tuple[tuple[int, int], ...]
-# A grid's class key: the ids of its two targets' classes, or None when a
-# target's class map is incomplete.
-ClassKey = tuple[int, int] | None
 # A run's record: each checked representative -> its two reports and the
 # class keys of its two sides' grids.
 Record = dict[Pair, tuple]
@@ -208,11 +204,6 @@ def orbits(p: Presentation) -> tuple[tuple[tuple[tuple[int, ...], Images], ...],
     return tuple(syms), table
 
 
-def first_index(keys: Sequence[ClassKey]) -> dict[ClassKey, int]:
-    """Each key -> the index of its first occurrence in `keys`."""
-    return {key: j for j, key in reversed(list(enumerate(keys)))}
-
-
 @dataclass(eq=False, repr=False)
 class Symmetry:
     """One verified letter map σ onto `target`, from the target itself (an
@@ -296,39 +287,3 @@ def carriers(
     automorphisms, table = p.orbits
     out.append((table, record, [Symmetry(*m, p) for m in automorphisms]))
     return out
-
-
-class _Carried:
-    """A carried pair of generator s and relation rel: σ, whether σ swaps
-    the representative's sides, and `entry`, the representative's record
-    entry (its two reports and the class keys of its two sides) until the
-    pair is carried, then the pair's two sides.  The pair's two reports
-    share it and hold s and rel for it; the first read of a field
-    `on_read` of either report carries both sides, with no class map."""
-
-    __slots__ = ("sym", "entry", "flip")
-    on_read = ("src_grids", "dst_grids", "matching", "witness")  # the report fields it builds
-    lock = threading.Lock()
-
-    def __init__(self, sym: Symmetry, entry: tuple, flip: int) -> None:
-        self.sym, self.entry, self.flip = sym, entry, flip
-
-    def fields(self, backward: bool, s: int, rel: Relation) -> dict:
-        """The fields `on_read` of the lhs->rhs report, or of the rhs->lhs
-        one if `backward`.  A side's images are in trace order and keep
-        their preimages' keys.  Matching is by key, since a recorded pair's
-        grids all have one, and the witness is the first source grid left
-        unmatched, as in `_one_direction`."""
-        with self.lock:
-            if self.sym is not None:  # carry both sides, each from one source
-                ((report, _), keys), sides = self.entry, []
-                for k, side in enumerate((rel.lhs, rel.rhs)):
-                    j = k ^ self.flip
-                    preimages = (report.src_grids, report.dst_grids)[j]
-                    grids, order = self.sym.grids(preimages, ((s,), side))
-                    sides.append((grids, tuple(map(keys[j].__getitem__, order))))
-                self.sym, self.entry = None, sides
-        (src, src_keys), (dst, dst_keys) = self.entry[::-1] if backward else self.entry
-        matching = tuple(map(first_index(dst_keys).get, src_keys))
-        witness = next((g for g, j in zip(src, matching) if j is None), None)
-        return {"src_grids": src, "dst_grids": dst, "matching": matching, "witness": witness}

@@ -27,6 +27,11 @@ def direct_pairs(p, b=rv.DEFAULT_BUDGET) -> list:
     return out
 
 
+def is_carried(rep) -> bool:
+    """Whether `rep` is a carried diamond report not yet filled."""
+    return hasattr(rep, "_carried")
+
+
 def rand_word(rng: random.Random, p: rv.Presentation, max_len: int) -> rv.Word:
     n = rng.randint(0, max_len)
     return tuple(rng.randrange(len(p.letters)) for _ in range(n))

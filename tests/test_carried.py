@@ -26,7 +26,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 import reversal as rv
-from conftest import direct_pairs
+from conftest import direct_pairs, is_carried
 from strategies import symmetric_presentations, with_mirror
 from reversal import completeness, symmetry
 from reversal.completeness import DiamondReport, DiamondStatus, Verdict, diamond_to_json
@@ -48,9 +48,9 @@ def fresh_pairs(p, after=None) -> tuple:
         rv.check_completeness(after)
     pairs = rv.check_completeness(p).pairs
     if after is None:
-        assert any("_carried" in vars(rep) for rep in pairs)
+        assert any(is_carried(rep) for rep in pairs)
     else:
-        assert all("_carried" in vars(rep) for rep in pairs)
+        assert all(is_carried(rep) for rep in pairs)
     return pairs
 
 
@@ -78,7 +78,7 @@ def assert_read_like_standalone(p, status=None, after=None) -> None:
     pairs = fresh_pairs(p, after)
     carried = [
         i for i, rep in enumerate(pairs)
-        if "_carried" in vars(rep) and status in (None, rep.status)
+        if is_carried(rep) and status in (None, rep.status)
     ]
     assert carried
     sample = carried[:: max(1, len(carried) // 24)][:24]
@@ -92,7 +92,7 @@ def assert_read_like_standalone(p, status=None, after=None) -> None:
         got = [read(p, pairs[i]) for i in sample]
         assert got == [read(p, direct[i]) for i in sample], read_name
         if read_name in ("copy", "deepcopy", "replace", "unpickled"):
-            assert not any("_carried" in vars(rep) for rep in got)
+            assert not any(is_carried(rep) for rep in got)
         for i in sample:  # a witness is its report's own source grid
             rep = pairs[i]
             assert rep.witness is None or any(g is rep.witness for g in rep.src_grids)
@@ -183,7 +183,7 @@ def test_counterexamples_hold_by_a_naive_closure(mirrored):
     q = p.mirrored if mirrored else p
     pairs = fresh_pairs(q, after=p if mirrored else None)
     bad = [rep for rep in pairs if rep.status is DiamondStatus.COUNTEREXAMPLE]
-    paths = {"_carried" in vars(rep) for rep in bad}
+    paths = {is_carried(rep) for rep in bad}
     assert paths == ({True} if mirrored else {False, True})
     assert_hold_by_a_naive_closure(q, bad)
 
@@ -205,7 +205,7 @@ def test_carried_counterexamples_hold_by_a_naive_closure_on_random_presentations
         for q, path in ((p, "orbit"), (p.mirrored, "mirror")):
             bad = [
                 rep for rep in rv.check_completeness(q, b).pairs
-                if "_carried" in vars(rep) and rep.status is DiamondStatus.COUNTEREXAMPLE
+                if is_carried(rep) and rep.status is DiamondStatus.COUNTEREXAMPLE
             ]
             for rep in bad:
                 assert any(g is rep.witness for g in rep.src_grids)
@@ -405,16 +405,19 @@ def test_verdicts_carry_no_grids(monkeypatch):
     # The first read carries the pair's two sides, one call each, for both
     # of its reports; no later read carries anything.
     pairs = rv.check_completeness(p).pairs
-    i = next(i for i, rep in enumerate(pairs) if "_carried" in vars(rep))
+    i = next(i for i, rep in enumerate(pairs) if is_carried(rep))
     fwd, bwd = pairs[i : i + 2]
     assert (fwd.direction, bwd.direction) == (completeness.LHS_TO_RHS, completeness.RHS_TO_LHS)
+    carrier = fwd._carried
     fwd.matching
     s, rel = (fwd.generator,), fwd.relation
     assert calls == [(s, rel.lhs), (s, rel.rhs)]
+    assert list(carrier.built) == [(fwd.generator, rel.index)]  # kept for bwd
     for rep in (bwd, fwd):
         rep.src_grids, rep.dst_grids, rep.matching, rep.witness
     assert len(calls) == 2
     assert fwd.src_grids is bwd.dst_grids and fwd.dst_grids is bwd.src_grids
+    assert not carrier.built and not any(map(is_carried, (fwd, bwd)))
 
 
 @pytest.mark.parametrize("name", ["rc4abc", "rc5abc"])
@@ -432,7 +435,7 @@ def test_incomplete_verdicts_carry_no_grids(monkeypatch, name):
         pairs = rv.check_completeness(q).pairs
         bad = [
             rep for rep in pairs
-            if "_carried" in vars(rep) and rep.status is DiamondStatus.COUNTEREXAMPLE
+            if is_carried(rep) and rep.status is DiamondStatus.COUNTEREXAMPLE
         ]
         assert bad and all(rep.exhausted for rep in bad)
         calls.clear()
@@ -440,12 +443,18 @@ def test_incomplete_verdicts_carry_no_grids(monkeypatch, name):
         assert len(calls) == 2 and any(g is witness for g in bad[0].src_grids)
 
 
+def compile_carry_data(p) -> None:
+    """Build the compiled data of p and its mirror, which belongs to the
+    presentations rather than to a run."""
+    for q in (p, p.mirrored):
+        q.tile_table, q.rewrite_index, q.orbits, q.oriented_relations
+        symmetry.carriers(q, {}, (q.mirrored, {}))  # compiles `from_mirror`
+
+
 def held_by_run(p, after=None) -> tuple:
     """The memory that the cached run over p holds, with `after`'s run
     cached first if given; and its report."""
-    for q in (p, p.mirrored):  # compiled data belongs to the presentations
-        q.tile_table, q.rewrite_index, q.orbits, q.oriented_relations
-        symmetry.carriers(q, {}, (q.mirrored, {}))  # compiles `from_mirror`
+    compile_carry_data(p)
     rv.check_completeness.cache_clear()
     if after is not None:
         rv.check_completeness(after)
@@ -471,16 +480,38 @@ def test_a_cached_report_holds_little_memory():
 
 
 def test_a_mirror_carried_cached_report_holds_little_memory():
-    # Measured at 0.27 MB for the mirror of colored_braid(4,{a,b,c}) when
-    # its run carries every pair from the left run; 0.62 MB when that run
-    # checks its orbit representatives itself.  0.31 MB on Python 3.11 and
-    # 3.13 since carried reports are written through their __dict__, which
-    # costs a 64-B dict each.
+    # Measured at 0.15 MB for the mirror of colored_braid(4,{a,b,c}) when
+    # its run carries every pair from the left run, on Python 3.10 and
+    # 3.11: the reports are slotted and share a carrier per letter map.
+    # 0.31 MB (3.11) and 0.51 MB (3.10) when each carried pair had a
+    # carrier of its own and each report an instance dict; 0.62 MB when
+    # the run checks its orbit representatives itself.
     p = SPECS["cb4abc"]()
     held, report = held_by_run(p.mirrored, after=p)
     assert report.verdict is Verdict.COMPLETE
-    assert all("_carried" in vars(rep) for rep in report.pairs)
+    assert all(is_carried(rep) for rep in report.pairs)
     assert held < 320_000
+
+
+def test_a_mirror_carried_pair_allocates_its_two_reports_only():
+    # Counted in gc-tracked objects: a carried pair added 5 when it had a
+    # carrier of its own and each of its reports an instance dict, and
+    # each of those allocations can trigger a collection that traverses
+    # the cached left run.
+    p = SPECS["cb4abc"]()
+    compile_carry_data(p)
+    rv.check_completeness.cache_clear()
+    try:
+        rv.check_completeness(p)
+        gc.collect()
+        before = len(gc.get_objects())
+        report = rv.check_completeness(p.mirrored)
+        gc.collect()
+        added = len(gc.get_objects()) - before
+    finally:
+        rv.check_completeness.cache_clear()
+    assert all(is_carried(rep) for rep in report.pairs)
+    assert added <= 2.5 * len(report.pairs) / 2
 
 
 def test_compiled_carry_data_holds_little_memory():

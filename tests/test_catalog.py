@@ -130,6 +130,16 @@ def test_build_registry():
     with pytest.raises(rv.PresentationError, match="unknown catalog"):
         rv.catalog.build("nonsense")
     assert rv.catalog.color_names(3) == ["a", "b", "c"]
+    assert rv.catalog.build("restricted-colored", 3) == rv.restricted_colored(3, ["a", "b"])
+
+
+@pytest.mark.parametrize("name", ["colored-braid", "restricted-colored"])
+def test_an_empty_color_list_is_rejected(name):
+    # Only a missing list means the default colors {a, b}.
+    with pytest.raises(rv.PresentationError, match="color set must be nonempty"):
+        rv.catalog.build(name, 4, [])
+    with pytest.raises(rv.PresentationError, match="color set must be nonempty"):
+        rv.catalog.entry(name, 4, ())
 
 
 def test_relation_order_is_reproducible():

@@ -19,7 +19,7 @@ import random
 import pytest
 
 import reversal as rv
-from conftest import catalog_presentations, rand_word
+from conftest import catalog_presentations, is_carried, rand_word
 from reversal import symmetry
 from reversal.congruence import rewrite_neighbors
 from reversal.grids import Tile, TileKind, letter_tiles
@@ -175,9 +175,24 @@ def test_compiled_data_is_not_part_of_the_value(colored42):
         assert clone == colored42 and hash(clone) == hash(colored42)
 
 
+def slot_values(item: object) -> list:
+    """The values of the slots set on `item`, read through the slot
+    descriptors, so that no `__getattr__` runs."""
+    values = []
+    for cls in type(item).__mro__:
+        slots = cls.__dict__.get("__slots__", ())
+        for name in [slots] if isinstance(slots, str) else slots:
+            try:
+                values.append(cls.__dict__[name].__get__(item))
+            except (AttributeError, KeyError):  # unset, or a mangled name
+                pass
+    return values
+
+
 def holds_a_tile(value: object) -> bool:
     """Whether a Tile is reachable from `value` through containers and
-    object attributes, not entering presentations."""
+    object attributes (instance dicts and slots), not entering
+    presentations."""
     stack, seen = [value], set()
     while stack:
         item = stack.pop()
@@ -190,8 +205,8 @@ def holds_a_tile(value: object) -> bool:
             stack += list(item.keys()) + list(item.values())
         elif isinstance(item, (tuple, list, set, frozenset)):
             stack += list(item)
-        elif hasattr(item, "__dict__"):
-            stack += list(vars(item).values())
+        else:
+            stack += list(getattr(item, "__dict__", {}).values()) + slot_values(item)
     return False
 
 
@@ -224,6 +239,6 @@ def test_carrying_data_is_plain_and_compiled_once(monkeypatch):
     for _ in range(2):
         rv.check_completeness.cache_clear()
         rv.check_completeness(rv.mirror(q))
-        assert all("_carried" in vars(rep) for rep in rv.check_completeness(q).pairs)
+        assert all(is_carried(rep) for rep in rv.check_completeness(q).pairs)
     assert len(calls) == 1 and calls[0] is q
     rv.check_completeness.cache_clear()

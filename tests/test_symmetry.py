@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reversal as rv
-from conftest import catalog_presentations, direct_pairs
+from conftest import catalog_presentations, direct_pairs, is_carried
 from strategies import (
     artin_presentations, multi_relation_presentations, symmetric_presentations, with_mirror
 )
@@ -190,7 +190,7 @@ def test_an_equal_copy_of_the_mirror_lends_its_orbits(monkeypatch):
     assert copy == q.mirrored and copy is not q.mirrored
     rv.check_completeness.cache_clear()
     assert rv.check_completeness(copy).verdict is Verdict.COMPLETE
-    assert all("_carried" in vars(rep) for rep in rv.check_completeness(q).pairs)
+    assert all(is_carried(rep) for rep in rv.check_completeness(q).pairs)
     assert rv.defect(q).value is not None
     assert searched == [copy]
     assert q.orbits is copy.orbits
@@ -382,7 +382,7 @@ def test_first_import_keeps_working_after_a_second_import():
         # Witnesses of carried counterexamples, read first.
         bad = [
             rep for rep in rv.check_completeness(q).pairs
-            if "_carried" in vars(rep) and rep.status is DiamondStatus.COUNTEREXAMPLE
+            if is_carried(rep) and rep.status is DiamondStatus.COUNTEREXAMPLE
         ]
         assert bad
         for rep in bad:
