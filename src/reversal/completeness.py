@@ -23,17 +23,17 @@ class map once.
 
 A run over all pairs checks one pair per orbit of the presentation's
 automorphisms and carries its reports to the rest of the orbit.  It
-carries a pair from the first of its sources (`symmetry.carriers`) whose
-record holds the pair's representative: the cached run over the
-presentation's mirror, when there is one and the identity letter map
-verifies as an isomorphism from the mirror onto the presentation, then
-the run's own orbits.  Their tables and letter maps are compiled data of
-the presentation, plain ints; a run adds its record and builds, per
-letter map of each source, a `symmetry.Symmetry` and a `_Carrier`, which
-every report carried along that map points at.  A carried report is a slotted
-`DiamondReport` holding its generator, relation, direction and status
-(and `exhausted` on a counterexample); the first read of its grids,
-matching or witness carries both sides of its pair once, for both
+carries from one source (`symmetry.carry_source`): the cached run over
+the presentation's mirror, when there is one with a nonempty record and
+the identity letter map verifies as an isomorphism from the mirror onto
+the presentation; else the run's own orbits.  A pair is carried when the
+source's record holds its representative, and checked otherwise.  The
+source's table and letter maps are compiled data of the presentation,
+plain ints; a run adds its record and one `_Carrier`, which every report
+it carries points at.  A carried report is a slotted `DiamondReport`
+holding its generator, relation, direction and status (and `exhausted`
+on a counterexample); the first read of its grids, matching or witness
+carries both sides of its pair once (`symmetry.carry`), for both
 reports, and matches them by their preimages' class keys as
 `_one_direction` does (`_fill`).  The finished run's context is the
 cache entry: the report, the run's record (the reports and class keys of
@@ -62,7 +62,7 @@ from typing import Sequence
 from .congruence import DEFAULT_BUDGET, INFINITE, Budget, ClassMap, class_distances, word_distance
 from .core import Presentation, Relation, Word
 from .grids import Grid, grid_to_json, reverse_enumerate, reverse_targets
-from .symmetry import Pair, Record, carriers
+from .symmetry import Pair, Record, carry, carry_source
 
 # A grid's class key: the ids of its two targets' classes, or None when a
 # target's class map is incomplete.
@@ -142,11 +142,12 @@ _set_generator, _set_relation, _set_direction, _set_status, _set_exhausted, _set
 )
 
 
-# What one run carries from one source along one letter map: the
-# `symmetry.Symmetry` σ, the source's table and record, and `built`, the
-# two sides of each pair that one of its reports has carried and the other
-# has not yet read.  Every report it carries points at it until filled.
-_Carrier = namedtuple("_Carrier", "sym table record built")
+# What one run carries reports with: its presentation p, its source
+# (`symmetry.carry_source`: the table, the letter maps and the record),
+# and `built`, the two sides of each pair that one of its reports has
+# carried and the other has not yet read.  Every report the run carries
+# points at it until filled.
+_Carrier = namedtuple("_Carrier", "p table maps record built")
 
 
 def _fill(report: DiamondReport) -> None:
@@ -163,13 +164,14 @@ def _fill(report: DiamondReport) -> None:
         pair = (s, rel.index)
         sides = carrier.built.pop(pair, None)  # the pair's other report is filled
         if sides is None:
-            rep = carrier.table[pair][0]
+            rep, i = carrier.table[pair]
+            sigma, images = carrier.maps[i]
             (fwd, _), keys = carrier.record[rep]
-            flip = carrier.sym.images[rep[1]][1]  # 1 when σ maps its lhs onto rel's rhs
+            flip = images[rep[1]][1]  # 1 when σ maps its lhs onto rel's rhs
             sides = []
             for k, side in enumerate((rel.lhs, rel.rhs)):
                 preimages = (fwd.src_grids, fwd.dst_grids)[k ^ flip]
-                grids, order = carrier.sym.grids(preimages, ((s,), side))
+                grids, order = carry(carrier.p, sigma, images, preimages, ((s,), side))
                 sides.append((grids, tuple(map(keys[k ^ flip].__getitem__, order))))
             carrier.built[pair] = sides
         (src, src_keys), (dst, dst_keys) = sides[::-1] if report.direction == RHS_TO_LHS else sides
@@ -248,10 +250,9 @@ def _one_direction(
 
 class DiamondContext:
     """What the diamond checks of one run over a presentation share: the
-    class maps and class ids, the sources it carries reports from (the
-    mirror run, if it reads one, then its own orbits), and the grids of
-    the representatives checked so far.  The finished run, with its report
-    and without its sources, is the cache entry."""
+    class maps and class ids, the `carrier` it carries reports with, and
+    the grids of the representatives checked so far.  The finished run,
+    with its report and without its carrier, is the cache entry."""
 
     def __init__(self, p: Presentation, b: Budget) -> None:
         self.p = p
@@ -305,38 +306,30 @@ class DiamondContext:
         return None if second is None else (first, second)
 
     @cached_property
-    def sources(self) -> list[tuple[dict, Record, list[_Carrier]]]:
-        """Where the run carries reports from (`symmetry.carriers`), with a
-        `_Carrier` per letter map."""
-        return [
-            (table, record, [_Carrier(sym, table, record, {}) for sym in syms])
-            for table, record, syms in carriers(self.p, self.representatives, self.mirror)
-        ]
+    def carrier(self) -> _Carrier:
+        """The run's one `_Carrier`, from `symmetry.carry_source`."""
+        return _Carrier(self.p, *carry_source(self.p, self.representatives, self.mirror), {})
 
     def transported(
         self, s: int, rel: Relation
     ) -> tuple[DiamondReport, DiamondReport] | None:
         """The reports of (s, rel) carried over from a checked
-        representative, or None when the pair must be checked itself: from
-        the first source whose record holds the representative its table
-        gives for the pair, the mirror run's before this run's own.
+        representative, or None when the pair must be checked itself: when
+        the record of the run's source holds the representative its table
+        gives for the pair.
 
         σ keeps congruence, so two carried grids have congruent targets
         exactly when their preimages' class keys are equal; each carried
         grid keeps its preimage's key.  So the pair's reports hold their
         representative's statuses at once, and are filled on first read
         (`_fill`)."""
-        pair = (s, rel.index)
-        for table, record, by_map in self.sources:
-            entry = table.get(pair)
-            data = None if entry is None else record.get(entry[0])
-            if data is not None:
-                break
-        else:
+        carrier = self.carrier
+        entry = carrier.table.get((s, rel.index))
+        data = None if entry is None else carrier.record.get(entry[0])
+        if data is None:
             return None
         (rep, i), reports = entry, data[0]
-        carrier = by_map[i]
-        flip = carrier.sym.images[rep[1]][1]  # 1 when σ maps the lhs side onto rel's rhs side
+        flip = carrier.maps[i][1][rep[1]][1]  # 1 when σ maps the lhs side onto rel's rhs side
         out = (object.__new__(DiamondReport), object.__new__(DiamondReport))
         for k, report in enumerate(out):
             r = reports[k ^ flip]
@@ -416,9 +409,10 @@ def check_completeness(
     representatives and class maps.  A run over p reads the cached run over p's mirror
     under the same budget, if there is one and the identity letter map
     verifies as an isomorphism from the mirror onto p, as in the braid
-    monoids: every pair whose preimage that run recorded, or carried from
-    a recorded representative, is carried from it.  Whichever side comes
-    first is checked directly.  Reading the mirror's entry counts neither
+    monoids, and that run recorded any representative: every pair whose
+    preimage that run recorded, or carried from a recorded
+    representative, is carried from it.  Whichever side comes first is
+    checked directly.  Reading the mirror's entry counts neither
     a hit nor a miss.  `check_completeness.cache_clear()` drops every
     entry, and `check_completeness.cache_info()` counts as `lru_cache`
     does."""
@@ -426,7 +420,7 @@ def check_completeness(
 
 
 def _check_completeness(p: Presentation, b: Budget) -> DiamondContext:
-    """A run over p: its context, holding the report, without its sources."""
+    """A run over p: its context, holding the report, without its carrier."""
     run = DiamondContext(p, b)
     if p.epsilon_relations or not p.weight_homogeneous:
         reason = (
@@ -454,7 +448,7 @@ def _check_completeness(p: Presentation, b: Budget) -> DiamondContext:
         "the weighted length witnesses right noetherianity"
     )
     run.report = CompletenessReport(verdict, tuple(pairs), witness_text)
-    vars(run).pop("sources", None)  # only the run itself carries from them
+    vars(run).pop("carrier", None)  # only the run itself carries with it
     return run
 
 

@@ -15,35 +15,38 @@ once per presentation (`Presentation.orbits`, shared with the mirror).
 
 `check_completeness` checks the first pair of each orbit.  Every other
 pair gets its reports by carrying the representative's grids through σ
-(`Symmetry`), tile by tile: each tile maps, by its value, to the target's
-own tile of the image cell with the image relation and orientation.  The
-images are re-sorted by trace as `reverse_enumerate` does (an image cell
-may list its tiles in another order than their keys).  The reports
-themselves are `completeness`'s: a carried report holds its status at
-once, and the first read of its grids, matching or witness carries both
-sides of its pair and matches them by the preimages' class keys.  An
-orbit whose representative is inconclusive or meets an incomplete class
-is checked pair by pair.
+(`carry`, a function of the compiled letter map), tile by tile: each
+tile maps, by its value, to the target's own tile of the image cell with
+the image relation and orientation.  The images are re-sorted by trace
+as `reverse_enumerate` does (an image cell may list its tiles in another
+order than their keys).  The reports themselves are `completeness`'s: a
+carried report holds its status at once, and the first read of its
+grids, matching or witness carries both sides of its pair and matches
+them by the preimages' class keys.  An orbit whose representative is
+inconclusive or meets an incomplete class is checked pair by pair.
 
 Reversing every relation gives back the same relation set in the braid
-and colored braid monoids, so there the identity is a letter map from a
-presentation's mirror onto it, and a run over p reads a finished run over
-its mirror first.  `carriers` gives a run its sources in the order it
-tries them, the mirror run's (`from_mirror`) and then p's own orbits:
-each a table, pair -> (its representative, the index of the symmetry
-carrying that onto it), with the record of representatives it reads and
-the symmetries.  A pair comes from the first source whose record holds
-its representative, and is checked itself when none does: no run records
-an inconclusive pair or one that meets an incomplete class.  The tables
-and letter maps are compiled data of p, plain ints
-(`Presentation.orbits`, `Presentation.from_mirror`); a run adds its
-record and a `Symmetry` per letter map.  A carried grid's target words
-are its own, shared with no other grid.
+and colored braid monoids, so there the identity m is a letter map from
+a presentation's mirror onto it, and a run over p reads a finished run
+over its mirror first.  `carry_source` gives a run its one source: a
+table, pair -> (its representative, the index of the letter map
+carrying that onto it), the letter maps, and the record of
+representatives it reads.  That is the mirror run's (`from_mirror`)
+when its record is not empty, else p's own orbits with the run's own
+record.  One source is enough: σ and m∘σ keep class sizes and grid
+branches, and a run records every representative except those that are
+inconclusive or meet an incomplete class, so when the mirror run left a
+pair's preimage unrecorded, p's own representative of the pair would be
+unrecorded too.  A mirror record is empty when that run carried its
+pairs from its own mirror's run, or recorded none; p then carries from
+its own orbits.  The tables and letter maps are compiled data of p,
+plain ints (`Presentation.orbits`, `Presentation.from_mirror`); a run
+adds its record.  A carried grid's target words are its own, shared with
+no other grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .core import Presentation, Tile, Word
@@ -56,9 +59,9 @@ Images = tuple[tuple[int, int], ...]
 # class keys of its two sides' grids.
 Record = dict[Pair, tuple]
 # Where a run carries reports from: pair -> (its representative, the index
-# of the symmetry mapping the representative onto it); the record that
-# holds the representatives; the symmetries.
-Source = tuple[dict[Pair, tuple[Pair, int]], Record, list["Symmetry"]]
+# of the letter map carrying the representative onto it); the letter maps
+# (σ, relation images); the record that holds the representatives.
+Source = tuple[dict[Pair, tuple[Pair, int]], tuple[tuple[tuple[int, ...], Images], ...], Record]
 
 # Letter assignments the automorphism search may try before it stops.  A
 # stopped search returns the automorphisms found so far: fewer symmetries
@@ -204,43 +207,37 @@ def orbits(p: Presentation) -> tuple[tuple[tuple[tuple[int, ...], Images], ...],
     return tuple(syms), table
 
 
-@dataclass(eq=False, repr=False)
-class Symmetry:
-    """One verified letter map σ onto `target`, from the target itself (an
-    automorphism) or from its mirror, and how it carries grids."""
+def carry(
+    p: Presentation,
+    sigma: tuple[int, ...],
+    images: Images,
+    grids: tuple[Grid, ...],
+    source: tuple[Word, Word],
+) -> tuple[tuple[Grid, ...], list[int]]:
+    """The images in p of `grids`, all from `source`, under the letter map
+    `sigma` with its relation `images`, in trace order; and the index of
+    each one's preimage.  A tile maps, by its value, to p's tile of the
+    image cell with the image relation and orientation, or to the cell's
+    only tile."""
+    image = sigma.__getitem__
 
-    sigma: tuple[int, ...]
-    images: Images
-    target: Presentation
-
-    def word(self, w: Word) -> Word:
-        return tuple(map(self.sigma.__getitem__, w))
-
-    def tile(self, t: Tile) -> Tile:
-        """The target's tile that t maps to: in the image cell, a relation
-        tile's image relation and orientation, or the cell's only tile."""
-        sigma = self.sigma
+    def tile(t: Tile) -> Tile:
         left = None if t.left is None else sigma[t.left]
         top = None if t.top is None else sigma[t.top]
-        cell = tiles(self.target, left, top)
+        cell = tiles(p, left, top)
         if t.rel_index is None:  # a cancellation or forced tile
             return cell[0]
-        index, flip = self.images[t.rel_index]
+        index, flip = images[t.rel_index]
         orientation = t.orientation ^ flip
         return next(u for u in cell if u.rel_index == index and u.orientation == orientation)
 
-    def grids(
-        self, grids: tuple[Grid, ...], source: tuple[Word, Word]
-    ) -> tuple[tuple[Grid, ...], list[int]]:
-        """The images of `grids`, all from `source`, in trace order, and the
-        index of each one's preimage."""
-        letters, word, tile = self.target.letters, self.word, self.tile
-        images = [
-            Grid(letters, source, tuple(map(word, g.target)), tuple(map(tile, g.cells)))
-            for g in grids
-        ]
-        order = sorted(range(len(images)), key=lambda i: images[i].trace_key())
-        return tuple(images[i] for i in order), order
+    out = [
+        Grid(p.letters, source, tuple(tuple(map(image, w)) for w in g.target),
+             tuple(map(tile, g.cells)))
+        for g in grids
+    ]
+    order = sorted(range(len(out)), key=lambda i: out[i].trace_key())
+    return tuple(out[i] for i in order), order
 
 
 def from_mirror(source: Presentation, p: Presentation) -> tuple[dict, tuple] | None:
@@ -268,22 +265,19 @@ def from_mirror(source: Presentation, p: Presentation) -> tuple[dict, tuple] | N
     return table, tuple(maps)
 
 
-def carriers(
+def carry_source(
     p: Presentation, record: Record, mirror: tuple[Presentation, Record] | None = None
-) -> list[Source]:
-    """Where a run over p carries reports from, in the order it tries them:
-    a finished run over p's mirror, given as `mirror` (a presentation equal
-    to `p.mirrored` and its run's record), if `p.from_mirror` carries it
-    onto p; then p's own orbits, with `record`.  The tables are compiled
-    data of p; the run gets its own `Symmetry` per letter map."""
-    out = []
+) -> Source:
+    """Where a run over p carries reports from: a finished run over p's
+    mirror, given as `mirror` (a presentation equal to `p.mirrored` and its
+    run's record), if its record is not empty and `p.from_mirror` carries
+    it onto p; else p's own orbits, with `record`, the run's own.  The
+    tables and letter maps are compiled data of p."""
     if mirror is not None:
         source, recorded = mirror
         if source is not p.mirrored:  # an equal copy: its orbits are p.mirrored's
             vars(p.mirrored).setdefault("orbits", source.orbits)
-        if p.from_mirror is not None:
-            table, maps = p.from_mirror
-            out.append((table, recorded, [Symmetry(*m, p) for m in maps]))
-    automorphisms, table = p.orbits
-    out.append((table, record, [Symmetry(*m, p) for m in automorphisms]))
-    return out
+        if recorded and p.from_mirror is not None:
+            return (*p.from_mirror, recorded)
+    maps, table = p.orbits
+    return table, maps, record

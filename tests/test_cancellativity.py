@@ -9,6 +9,7 @@ import pytest
 import reversal as rv
 from conftest import rand_word
 from reversal.cancellativity import CancelStatus, MultipleKind
+from reversal.completeness import Verdict
 
 
 def left_divides(p: rv.Presentation, d: rv.Word, z: rv.Word) -> bool:
@@ -107,6 +108,19 @@ def test_right_lcm_examples(braid4):
 def test_right_lcm_precondition(colored42):
     with pytest.raises(rv.PresentationError, match="complemented"):
         rv.right_lcm(colored42, colored42.word("s1.a"), colored42.word("s2.a"))
+
+
+# Right complemented and homogeneous, but reversing is not complete.
+INCOMPLETE_COMPLEMENTED = "gens: a b c\nrel: a a = b a\nrel: a a = c b\nrel: b c = c a\n"
+
+
+def test_right_lcm_requires_completeness():
+    p = rv.parse_presentation(INCOMPLETE_COMPLEMENTED)
+    assert rv.is_right_complemented(p) and p.weight_homogeneous
+    assert rv.check_completeness(p).verdict is Verdict.INCOMPLETE
+    with pytest.raises(rv.PresentationError) as info:
+        rv.right_lcm(p, p.word("a"), p.word("b"))
+    assert str(info.value) == "right_lcm requires completeness of reversing, which fails here"
 
 
 def test_right_lcm_minimality_bruteforce(braid3):

@@ -28,9 +28,8 @@ from hypothesis import assume, given, settings
 import reversal as rv
 from conftest import direct_pairs, is_carried
 from strategies import symmetric_presentations, with_mirror
-from reversal import completeness, symmetry
+from reversal import completeness
 from reversal.completeness import DiamondReport, DiamondStatus, Verdict, diamond_to_json
-from reversal.symmetry import Symmetry
 
 SPECS = {
     "cb4abc": lambda: rv.colored_braid(4, ["a", "b", "c"]),
@@ -251,6 +250,50 @@ def test_without_a_self_mirror_run_the_mirror_is_checked_directly(monkeypatch):
     assert right_enumerations(p, True) == 0
 
 
+def test_a_run_after_a_carried_mirror_run_carries_from_its_own_orbits():
+    # p, then its mirror, whose run carries every pair from p's and so
+    # records none, then p again once its entry is evicted: the third run
+    # finds an empty mirror record and carries from its own orbits, as the
+    # first run did.
+    p = SPECS["cb4abc"]()
+    rv.check_completeness.cache_clear()
+    try:
+        first = rv.check_completeness(p)
+        assert all(is_carried(rep) for rep in rv.check_completeness(p.mirrored).pairs)
+        with completeness._RUNS.lock:
+            del completeness._RUNS.entries[p, rv.DEFAULT_BUDGET]
+        third = rv.check_completeness(p)
+    finally:
+        rv.check_completeness.cache_clear()
+    assert third is not first
+    carried = [is_carried(rep) for rep in third.pairs]
+    assert (sum(carried), len(carried)) == (1032, 1134)
+    assert carried == [is_carried(rep) for rep in first.pairs]
+    assert third == first
+
+
+def test_a_run_carries_with_one_carrier():
+    # Every carried report of a run, left or right, points at the run's
+    # one carrier: the own orbits' for the left run, the mirror's for the
+    # right run after it.
+    p = SPECS["cb4abc"]()
+    rv.check_completeness.cache_clear()
+    try:
+        carriers = []
+        for q in (p, p.mirrored):
+            carried = [rep for rep in rv.check_completeness(q).pairs if is_carried(rep)]
+            carrier = carried[0]._carried
+            assert type(carrier) is completeness._Carrier
+            assert all(rep._carried is carrier for rep in carried)
+            carriers.append(carrier)
+    finally:
+        rv.check_completeness.cache_clear()
+    left, right = carriers
+    assert left.table is p.orbits[1] and left.maps is p.orbits[0]
+    assert (right.table, right.maps) == p.mirrored.from_mirror
+    assert right is not left and right.record is left.record  # the left run's
+
+
 def test_carried_counterexamples_have_their_witness():
     p = rv.restricted_colored(4, ["a", "b", "c"])
     carried = p.orbits[1]
@@ -378,15 +421,15 @@ def test_threads_compiling_carry_data_get_the_serial_reports():
 
 
 def counted_carries(monkeypatch) -> list:
-    """The sources of the `Symmetry.grids` calls made from now on."""
+    """The sources of the `carry` calls that `completeness` makes from now on."""
     calls = []
-    carry = Symmetry.grids
+    carry = completeness.carry
 
-    def counted(self, grids, source):
+    def counted(p, sigma, images, grids, source):
         calls.append(source)
-        return carry(self, grids, source)
+        return carry(p, sigma, images, grids, source)
 
-    monkeypatch.setattr(Symmetry, "grids", counted)
+    monkeypatch.setattr(completeness, "carry", counted)
     return calls
 
 
@@ -447,8 +490,7 @@ def compile_carry_data(p) -> None:
     """Build the compiled data of p and its mirror, which belongs to the
     presentations rather than to a run."""
     for q in (p, p.mirrored):
-        q.tile_table, q.rewrite_index, q.orbits, q.oriented_relations
-        symmetry.carriers(q, {}, (q.mirrored, {}))  # compiles `from_mirror`
+        q.tile_table, q.rewrite_index, q.orbits, q.oriented_relations, q.from_mirror
 
 
 def held_by_run(p, after=None) -> tuple:

@@ -118,6 +118,16 @@ def test_reverse_text_names_the_limit(tmp_path):
     assert out.startswith("no reversing target found: the search met a cyclic")
 
 
+def test_lcm_on_an_incomplete_presentation_is_a_usage_error(tmp_path):
+    path = tmp_path / "incomplete.txt"
+    path.write_text(
+        "gens: a b c\nrel: a a = b a\nrel: a a = c b\nrel: b c = c a\n", encoding="utf-8"
+    )
+    code, out, err = invoke("lcm", "--file", str(path), "a", "b")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: right_lcm requires completeness of reversing, which fails here\n"
+
+
 def test_inconclusive_text_names_the_first_pair():
     code, out, _ = invoke(
         "complete", "--catalog", "braid", "--n", "4", "--max-class-size", "1"

@@ -163,8 +163,7 @@ def test_compiled_data_is_not_part_of_the_value(colored42):
     }
     hash(colored42), colored42.tile_table, colored42.rewrite_index
     colored42.deterministic, colored42.reversal_table, colored42.mirrored
-    colored42.orbits
-    symmetry.carriers(colored42, {}, (colored42.mirrored, {}))
+    colored42.orbits, colored42.from_mirror
     assert compiled <= set(vars(colored42))
     assert colored42 == fresh
     assert repr(colored42) == repr(fresh)

@@ -36,6 +36,7 @@ B5 = ["--catalog", "braid", "--n", "5"]
 B6 = ["--catalog", "braid", "--n", "6"]
 CB32 = ["colored-braid", "--n", "3", "--colors", "2"]
 DIAGNOSTICS = ["--file", str(INPUTS / "diagnostics.txt")]
+LEFT_CONFLICT = ["--file", str(INPUTS / "left-cancel-conflict.txt")]
 
 CASES = {
     "complete-cb42": ["complete", *CB42, "--json"],
@@ -99,6 +100,8 @@ CASES = {
     "validate-malcev-json": ["validate", *MALCEV, "--json"],
     "validate-diagnostics-text": ["validate", *DIAGNOSTICS],
     "validate-diagnostics-json": ["validate", *DIAGNOSTICS, "--json"],
+    "validate-left-conflict-text": ["validate", *LEFT_CONFLICT],
+    "complete-diagnostics-text": ["complete", *DIAGNOSTICS],
     "catalog-malcev-text": ["catalog", "malcev"],
     "catalog-malcev-json": ["catalog", "malcev", "--json"],
     "catalog-cb32-text": ["catalog", *CB32],

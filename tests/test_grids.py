@@ -18,7 +18,7 @@ from strategies import artin_presentations, symmetric_presentations
 from reversal import grids
 from reversal.cancellativity import MultipleKind
 from reversal.catalog import CATALOG, build
-from reversal.completeness import Verdict
+from reversal.completeness import DiamondContext, Verdict
 from reversal.core import is_right_complemented
 from reversal.grids import ReversalStatus, TileKind
 
@@ -277,6 +277,88 @@ def test_split_then_compose_is_identity(braid4):
     for k in (0, 1, 2, 3):
         g1, g2 = rv.split_h(g, k)
         assert rv.compose_h(g1, g2) == g
+
+
+def _forge_pass_tile(p, g):
+    """g with its first pass tile replaced by the pass tile of another
+    letter: the trace still replays, to other cells."""
+    i = next(i for i, c in enumerate(g.cells) if c.kind is TileKind.PASS_TOP)
+    forged = rv.tiles(p, None, (g.cells[i].top + 1) % len(p.letters))[0]
+    return dataclasses.replace(g, cells=g.cells[:i] + (forged,) + g.cells[i + 1 :])
+
+
+CONTEXT_ERROR = (ValueError, "the context belongs to another presentation or budget")
+# name -> (the call, given braid(4), a grid g and two grids g1, g2 that
+# compose; what it returns, or the error type and message it raises).
+ERROR_PATHS = {
+    "check_grid: alphabet mismatch": (
+        lambda p, g, g1, g2: rv.check_grid(rv.braid(3), g), "alphabet mismatch"
+    ),
+    "check_grid: the replay raises": (
+        lambda p, g, g1, g2: rv.check_grid(p, dataclasses.replace(g, cells=g.cells[:-1])),
+        "trace ended before the grid was filled",
+    ),
+    "check_grid: a forged pass tile": (
+        lambda p, g, g1, g2: rv.check_grid(p, _forge_pass_tile(p, g)),
+        "replayed cells differ from the stored trace",
+    ),
+    "compose_h: different alphabets": (
+        lambda p, g, g1, g2: rv.compose_h(
+            g1, dataclasses.replace(g2, letters=rv.braid(3).letters)
+        ),
+        (rv.GridError, "grids come from different alphabets"),
+    ),
+    "compose_h: leftover cells": (
+        lambda p, g, g1, g2: rv.compose_h(
+            g1, dataclasses.replace(g2, cells=g2.cells + (g1.choice_cells()[0],))
+        ),
+        (rv.GridError, "grid 2 has cells not used by the composition"),
+    ),
+    "compose_h: a forged target": (
+        lambda p, g, g1, g2: rv.compose_h(
+            g1, dataclasses.replace(g2, target=(g2.target[0], g2.target[1] + (0,)))
+        ),
+        (rv.GridError, "composition produced an unexpected target"),
+    ),
+    "split_h: k below range": (
+        lambda p, g, g1, g2: rv.split_h(g, -1),
+        (rv.GridError, "split position -1 out of range"),
+    ),
+    "split_h: k above range": (
+        lambda p, g, g1, g2: rv.split_h(g, len(g.source[1]) + 1),
+        (rv.GridError, "split position 4 out of range"),
+    ),
+    "check_diamond: another presentation": (
+        lambda p, g, g1, g2: rv.check_diamond(
+            p, 0, p.relations[0], rv.DEFAULT_BUDGET,
+            DiamondContext(rv.braid(4), rv.DEFAULT_BUDGET),
+        ),
+        CONTEXT_ERROR,
+    ),
+    "check_diamond: another budget": (
+        lambda p, g, g1, g2: rv.check_diamond(
+            p, 0, p.relations[0], rv.DEFAULT_BUDGET, DiamondContext(p, rv.Budget(max_cells=5))
+        ),
+        CONTEXT_ERROR,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_PATHS))
+def test_error_paths_of_grid_checks_and_diamond_contexts(braid4, name):
+    # A failed check returns ok=False with its reason; a misuse raises.
+    p = braid4
+    g = rv.reverse_enumerate(p, p.word("s1"), p.word("s2 s3 s2")).grids[0]
+    g1 = rv.reverse_enumerate(p, p.word("s1"), p.word("s2")).grids[0]
+    g2 = rv.reverse_enumerate(p, g1.target[0], p.word("s3")).grids[0]
+    call, want = ERROR_PATHS[name]
+    if isinstance(want, str):
+        assert call(p, g, g1, g2) == grids.GridCheck(False, want)
+    else:
+        error, message = want
+        with pytest.raises(error) as info:
+            call(p, g, g1, g2)
+        assert type(info.value) is error and str(info.value) == message
 
 
 def test_render_grid_rejects_a_bad_trace_like_replay(braid4):

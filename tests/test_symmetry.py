@@ -212,7 +212,8 @@ def test_transported_grids_equal_enumeration_of_the_image():
         for p in (base, rv.mirror(base)):
             maps, exhaustive = find_automorphisms(p)
             assert exhaustive and len(maps) > 1, name
-            (_, _, syms), = symmetry.carriers(p, {})
+            table, syms, record = symmetry.carry_source(p, {})
+            assert table is p.orbits[1] and syms is p.orbits[0] and record == {}, name
             assert len(syms) == len(maps) - 1, name
             grids = {}
 
@@ -221,15 +222,15 @@ def test_transported_grids_equal_enumeration_of_the_image():
                     grids[s, side] = rv.reverse_enumerate(p, (s,), side).grids
                 return grids[s, side]
 
-            for sym in syms:
+            for sigma, by_relation in syms:
                 for s in range(len(p.letters)):
                     for rel in p.relations:
                         for side in (rel.lhs, rel.rhs):
-                            source = ((sym.sigma[s],), tuple(sym.sigma[x] for x in side))
+                            source = ((sigma[s],), tuple(sigma[x] for x in side))
                             preimages = enumerate_side(s, side)
-                            images, order = sym.grids(preimages, source)
+                            images, order = symmetry.carry(p, sigma, by_relation, preimages, source)
                             assert images == enumerate_side(*source[0], source[1]), (
-                                name, sym.sigma, s, rel.index
+                                name, sigma, s, rel.index
                             )
                             reordered += order != sorted(order)
     # Carrying grids does not keep their order, so the re-sort is needed.
@@ -245,25 +246,29 @@ def test_mirror_carried_grids_equal_enumeration_of_the_image():
     }
     for name, p in specs.items():
         q = p.mirrored
-        sources = symmetry.carriers(q, {}, (p, {}))
-        assert len(sources) == 2, name
-        table, _, syms = sources[0]
+        table, syms = q.from_mirror
         # Every pair of q is listed, its preimage's run recorded or not.
         assert set(table) == {(s, rel.index) for s in range(len(q.letters)) for rel in q.relations}
         assert len(syms) == len(p.orbits[0]) + 1 > 1, name
-        for sym in (syms[0], syms[-1]):
+        # A run over q reads the mirror run's record, if it holds anything.
+        recorded = {(0, 0): None}
+        assert symmetry.carry_source(q, {}, (p, recorded)) == (table, syms, recorded), name
+        assert symmetry.carry_source(q, {}, (p, {}))[0] is q.orbits[1], name
+        for sigma, by_relation in (syms[0], syms[-1]):
             for s in range(len(p.letters)):
                 for rel in p.relations:
                     for side in (rel.lhs, rel.rhs):
-                        source = ((sym.sigma[s],), tuple(sym.sigma[x] for x in side))
+                        source = ((sigma[s],), tuple(sigma[x] for x in side))
                         preimages = rv.reverse_enumerate(p, (s,), side).grids
-                        images, _ = sym.grids(preimages, source)
+                        images, _ = symmetry.carry(q, sigma, by_relation, preimages, source)
                         assert images == rv.reverse_enumerate(q, *source).grids, (
-                            name, sym.sigma, s, rel.index
+                            name, sigma, s, rel.index
                         )
     # No mirror source where the identity is no isomorphism: the own orbits only.
     m = rv.malcev()
-    assert len(symmetry.carriers(m.mirrored, {}, (m, {}))) == 1
+    assert m.mirrored.from_mirror is None
+    own = symmetry.carry_source(m.mirrored, {}, (m, {(0, 0): None}))
+    assert own[:2] == m.mirrored.orbits[::-1]
 
 
 def test_mirror_carried_grids_equal_enumeration_on_multi_relation_presentations():
@@ -276,16 +281,17 @@ def test_mirror_carried_grids_equal_enumeration_on_multi_relation_presentations(
     @given(multi_relation_presentations().map(with_mirror))
     def check(p):
         q = p.mirrored
-        (_, _, syms), _ = symmetry.carriers(q, {}, (p, {}))
-        for sym in syms:
+        _, syms = q.from_mirror
+        for sigma, by_relation in syms:
             for s in range(len(p.letters)):
                 for side in {side for rel in p.relations for side in (rel.lhs, rel.rhs)}:
                     out = rv.reverse_enumerate(p, (s,), side, b)
-                    source = (sym.word((s,)), sym.word(side))
+                    source = ((sigma[s],), tuple(sigma[x] for x in side))
                     want = rv.reverse_enumerate(q, *source, b)
                     assert out.completed == want.completed
                     if out.completed:
-                        assert sym.grids(out.grids, source)[0] == want.grids, (sym.sigma, s, side)
+                        images = symmetry.carry(q, sigma, by_relation, out.grids, source)[0]
+                        assert images == want.grids, (sigma, s, side)
                         seen["grids"] += len(want.grids)
                         seen["several"] += sum(
                             any(len(q.tile_table.get((c.left, c.top), ())) > 1 for c in g.cells)
