@@ -70,7 +70,8 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="reversal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp: argparse.ArgumentParser, words: int = 0) -> None:
+    for name, (_, words, text) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=text)
         src = sp.add_argument_group("presentation source")
         src.add_argument("--file", help="presentation file path")
         src.add_argument("--catalog", help="catalog entry name")
@@ -90,15 +91,6 @@ def _build_parser() -> _Parser:
         for i in range(words):
             sp.add_argument(f"word{i + 1}" if words > 1 else "word")
 
-    add_common(sub.add_parser("validate", help="report presentation diagnostics"))
-    add_common(sub.add_parser("reverse", help="targets of reversing (u, v)"), words=2)
-    add_common(sub.add_parser("grids", help="enumerate all grids from (u, v)"), words=2)
-    add_common(sub.add_parser("equiv", help="congruence oracle on (u, v)"), words=2)
-    add_common(sub.add_parser("complete", help="completeness of right reversing"))
-    add_common(sub.add_parser("cancel", help="cancellativity criterion, both sides"))
-    add_common(sub.add_parser("lcm", help="right lcm (complemented presentations)"), words=2)
-    add_common(sub.add_parser("multiple", help="common right multiple of (u, v)"), words=2)
-    add_common(sub.add_parser("defect", help="defect of a complete presentation"))
     cat = sub.add_parser("catalog", help="inspect or emit a catalog presentation")
     cat.add_argument("name")
     cat.add_argument("--n", type=int, default=4)
@@ -346,16 +338,18 @@ def _cmd_catalog(args) -> _Result:
     return True, doc, [line]
 
 
+# Each command on a presentation -> (its function, how many words it
+# takes, its help line), in the order of the usage text.
 _COMMANDS = {
-    "validate": _cmd_validate,
-    "reverse": _cmd_reverse,
-    "grids": _cmd_grids,
-    "equiv": _cmd_equiv,
-    "complete": _cmd_complete,
-    "cancel": _cmd_cancel,
-    "lcm": _cmd_multiple,
-    "multiple": _cmd_multiple,
-    "defect": _cmd_defect,
+    "validate": (_cmd_validate, 0, "report presentation diagnostics"),
+    "reverse": (_cmd_reverse, 2, "targets of reversing (u, v)"),
+    "grids": (_cmd_grids, 2, "enumerate all grids from (u, v)"),
+    "equiv": (_cmd_equiv, 2, "congruence oracle on (u, v)"),
+    "complete": (_cmd_complete, 0, "completeness of right reversing"),
+    "cancel": (_cmd_cancel, 0, "cancellativity criterion, both sides"),
+    "lcm": (_cmd_multiple, 2, "right lcm (complemented presentations)"),
+    "multiple": (_cmd_multiple, 2, "common right multiple of (u, v)"),
+    "defect": (_cmd_defect, 0, "defect of a complete presentation"),
 }
 
 _EXIT = {True: EXIT_YES, False: EXIT_NO, None: EXIT_INCONCLUSIVE}
@@ -371,7 +365,7 @@ def run(
         if args.command == "catalog":
             answer, doc, lines = _cmd_catalog(args)
         else:
-            command = _COMMANDS[args.command]
+            command = _COMMANDS[args.command][0]
             answer, doc, lines = command(args, _load_presentation(args), _budget(args))
         if args.json and doc is not None:
             out.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")

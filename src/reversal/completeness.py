@@ -22,23 +22,32 @@ distances, grid by grid.  A run's `DiamondContext` computes each word's
 class map once.
 
 A run over all pairs checks one pair per orbit of the presentation's
-automorphisms and carries its reports to the rest of the orbit.  It
-carries from one source (`symmetry.carry_source`): the cached run over
-the presentation's mirror, when there is one with a nonempty record and
-the identity letter map verifies as an isomorphism from the mirror onto
-the presentation; else the run's own orbits.  A pair is carried when the
-source's record holds its representative, and checked otherwise.  The
-source's table and letter maps are compiled data of the presentation,
-plain ints; a run adds its record and one `_Carrier`, which every report
-it carries points at.  A carried report is a slotted `DiamondReport`
-holding its generator, relation, direction and status (and `exhausted`
-on a counterexample); the first read of its grids, matching or witness
-carries both sides of its pair once (`symmetry.carry`), for both
-reports, and matches them by their preimages' class keys as
-`_one_direction` does (`_fill`).  The finished run's context is the
-cache entry: the report, the run's record (the reports and class keys of
-its recorded representatives), and its class maps and class ids.  No run
-keeps a store of carried words.
+automorphisms and carries its reports to the rest of the orbit.  Its
+`DiamondContext.carrier` picks the one source it carries from: the
+cached run over the presentation's mirror under the same budget, when
+that run recorded any representative and the identity letter map
+verifies as an isomorphism from the mirror onto the presentation, as in
+the braid monoids (`Presentation.from_mirror`); else the presentation's
+own orbits (`Presentation.orbits`), with the run's own record.  One
+source is enough: σ and m∘σ keep class sizes and grid branches, and a
+run records every representative except those that are inconclusive or
+meet an incomplete class, so when the mirror run left a pair's preimage
+unrecorded, the pair's own representative would be unrecorded too.  A
+mirror record is empty when that run carried its pairs from its own
+mirror's run, or recorded none.  The cached mirror run may be over an
+equal copy of the mirror, which has the same orbits.  A pair is carried
+when the source's record holds its representative, and checked
+otherwise.  The source's table and letter maps are compiled data of the
+presentation, plain ints; a run adds its record and one `_Carrier`,
+which every report it carries points at.  A carried report is a slotted
+`DiamondReport` holding its generator, relation, direction and status
+(and `exhausted` on a counterexample); the first read of its grids,
+matching or witness carries both sides of its pair once
+(`symmetry.carry`), for both reports, and matches them by their
+preimages' class keys as `_one_direction` does (`_fill`).  The finished
+run's context is the cache entry: the report, the run's record (the
+reports and class keys of its recorded representatives), and its class
+maps and class ids.  No run keeps a store of carried words.
 
 The defect of a complete presentation is the worst, over all triples
 (s, relation, grid), of the best total distance between the outputs of the
@@ -62,7 +71,11 @@ from typing import Sequence
 from .congruence import DEFAULT_BUDGET, INFINITE, Budget, ClassMap, class_distances, word_distance
 from .core import Presentation, Relation, Word
 from .grids import Grid, grid_to_json, reverse_enumerate, reverse_targets
-from .symmetry import Pair, Record, carry, carry_source
+from .symmetry import Pair, carry
+
+# A run's record: each checked representative -> its two reports and the
+# class keys of its two sides' grids.
+Record = dict[Pair, tuple]
 
 # A grid's class key: the ids of its two targets' classes, or None when a
 # target's class map is incomplete.
@@ -142,9 +155,9 @@ _set_generator, _set_relation, _set_direction, _set_status, _set_exhausted, _set
 )
 
 
-# What one run carries reports with: its presentation p, its source
-# (`symmetry.carry_source`: the table, the letter maps and the record),
-# and `built`, the two sides of each pair that one of its reports has
+# What one run carries reports with: its presentation p, its source (the
+# table, the letter maps and the record, as `DiamondContext.carrier` picks
+# them), and `built`, the two sides of each pair that one of its reports has
 # carried and the other has not yet read.  Every report the run carries
 # points at it until filled.
 _Carrier = namedtuple("_Carrier", "p table maps record built")
@@ -257,16 +270,11 @@ class DiamondContext:
     def __init__(self, p: Presentation, b: Budget) -> None:
         self.p = p
         self.b = b
-        # A finished run over p's mirror under b, that this run may read:
-        # its presentation and its `representatives`; set before it starts.
-        self.mirror: tuple[Presentation, Record] | None = None
         self.class_maps: dict[Word, ClassMap] = {}
         # Word -> id of its complete class, or None when its class map is
         # incomplete.
         self.class_ids: dict[Word, int | None] = {}
         self.classes = 0
-        # (generator, relation index) of a checked representative -> its
-        # two reports and the class keys of its two sides' grids.
         self.representatives: Record = {}
         self.report: CompletenessReport | None = None  # once the run is done
 
@@ -307,8 +315,15 @@ class DiamondContext:
 
     @cached_property
     def carrier(self) -> _Carrier:
-        """The run's one `_Carrier`, from `symmetry.carry_source`."""
-        return _Carrier(self.p, *carry_source(self.p, self.representatives, self.mirror), {})
+        """The run's one `_Carrier`: from the cached run over p's mirror
+        under b, if its record is not empty and `p.from_mirror` carries it
+        onto p; else from p's own orbits, with the run's own record."""
+        p = self.p
+        record = _RUNS.peek(p.mirrored, self.b)
+        if record and p.from_mirror is not None:
+            return _Carrier(p, *p.from_mirror, record, {})
+        maps, table = p.orbits
+        return _Carrier(p, table, maps, self.representatives, {})
 
     def transported(
         self, s: int, rel: Relation
@@ -370,9 +385,10 @@ def check_diamond(
     rather than guessing.
 
     Alone, the pair is checked directly.  Within a run that shares a
-    `context` (as `check_completeness` does), a pair whose orbit
-    representative was checked gets that representative's reports carried
-    over by a symmetry; the reports are the same either way."""
+    `context` (as `check_completeness` does), a pair whose representative
+    was checked, by this run or by the cached run over p's mirror, gets
+    that representative's reports carried over by a letter map; the
+    reports are the same either way."""
     if context is None:
         context = DiamondContext(p, b)
     elif context.p is not p or (context.b is not b and context.b != b):
@@ -405,17 +421,12 @@ def check_completeness(
     weight-homogeneity with positive integer weights.
 
     The last 32 runs are cached, one per (presentation, budget), however
-    the budget is passed: each entry is the finished run, with its report,
-    representatives and class maps.  A run over p reads the cached run over p's mirror
-    under the same budget, if there is one and the identity letter map
-    verifies as an isomorphism from the mirror onto p, as in the braid
-    monoids, and that run recorded any representative: every pair whose
-    preimage that run recorded, or carried from a recorded
-    representative, is carried from it.  Whichever side comes first is
-    checked directly.  Reading the mirror's entry counts neither
-    a hit nor a miss.  `check_completeness.cache_clear()` drops every
-    entry, and `check_completeness.cache_info()` counts as `lru_cache`
-    does."""
+    the budget is passed: each entry is the finished run, with its
+    report, representatives and class maps.  A run may carry pairs from
+    the cached run over p's mirror, as the module docstring says;
+    reading that entry counts neither a hit nor a miss.
+    `check_completeness.cache_clear()` drops every entry, and
+    `check_completeness.cache_info()` counts as `lru_cache` does."""
     return _RUNS.run(p, b).report
 
 
@@ -431,7 +442,6 @@ def _check_completeness(p: Presentation, b: Budget) -> DiamondContext:
         )
         run.report = CompletenessReport(Verdict.INCONCLUSIVE, (), "absent", reason)
         return run
-    run.mirror = _RUNS.peek(p.mirrored, b)
     pairs: list[DiamondReport] = []
     for s in range(len(p.letters)):
         for rel in p.relations:
@@ -484,12 +494,12 @@ class _Runs:
                 self.entries.popitem(last=False)
         return run
 
-    def peek(self, p: Presentation, b: Budget) -> tuple[Presentation, Record] | None:
-        """The presentation and representatives of the cached run over
-        (p, b), if any; counted as neither hit nor miss, and not a use."""
+    def peek(self, p: Presentation, b: Budget) -> Record | None:
+        """The representatives of the cached run over (p, b), if any;
+        counted as neither hit nor miss, and not a use."""
         with self.lock:
             run = self.entries.get((p, b))
-        return None if run is None else (run.p, run.representatives)
+        return None if run is None else run.representatives
 
     def cache_clear(self) -> None:
         with self.lock:

@@ -270,7 +270,7 @@ class Presentation:
         map the mirror onto self.  Plain ints, as `orbits` is."""
         from .symmetry import from_mirror  # symmetry imports this module
 
-        return from_mirror(self.mirrored, self)
+        return from_mirror(self)
 
     def letter(self, token: str) -> int:
         try:

@@ -13,36 +13,22 @@ verifier of such maps.  `find_automorphisms` searches for automorphisms;
 `orbits` keeps each that passes the verifier, and returns plain ints,
 once per presentation (`Presentation.orbits`, shared with the mirror).
 
-`check_completeness` checks the first pair of each orbit.  Every other
-pair gets its reports by carrying the representative's grids through σ
-(`carry`, a function of the compiled letter map), tile by tile: each
-tile maps, by its value, to the target's own tile of the image cell with
-the image relation and orientation.  The images are re-sorted by trace
-as `reverse_enumerate` does (an image cell may list its tiles in another
-order than their keys).  The reports themselves are `completeness`'s: a
-carried report holds its status at once, and the first read of its
-grids, matching or witness carries both sides of its pair and matches
-them by the preimages' class keys.  An orbit whose representative is
-inconclusive or meets an incomplete class is checked pair by pair.
+`carry` maps grids along a compiled letter map, tile by tile: each tile
+maps, by its value, to the target's own tile of the image cell with the
+image relation and orientation.  The images are re-sorted by trace as
+`reverse_enumerate` does (an image cell may list its tiles in another
+order than their keys).  A carried grid's target words are its own,
+shared with no other grid.
 
 Reversing every relation gives back the same relation set in the braid
 and colored braid monoids, so there the identity m is a letter map from
-a presentation's mirror onto it, and a run over p reads a finished run
-over its mirror first.  `carry_source` gives a run its one source: a
-table, pair -> (its representative, the index of the letter map
-carrying that onto it), the letter maps, and the record of
-representatives it reads.  That is the mirror run's (`from_mirror`)
-when its record is not empty, else p's own orbits with the run's own
-record.  One source is enough: σ and m∘σ keep class sizes and grid
-branches, and a run records every representative except those that are
-inconclusive or meet an incomplete class, so when the mirror run left a
-pair's preimage unrecorded, p's own representative of the pair would be
-unrecorded too.  A mirror record is empty when that run carried its
-pairs from its own mirror's run, or recorded none; p then carries from
-its own orbits.  The tables and letter maps are compiled data of p,
-plain ints (`Presentation.orbits`, `Presentation.from_mirror`); a run
-adds its record.  A carried grid's target words are its own, shared with
-no other grid.
+a presentation's mirror onto it.  `from_mirror` compiles the letter maps
+that carry the mirror's pairs onto p: m∘σ for each σ of the mirror's
+orbits, then m.  Its table, like the orbit table, maps a pair to (its
+representative, the index of the letter map carrying that onto it).
+Both are plain ints, compiled once per presentation
+(`Presentation.orbits`, `Presentation.from_mirror`); `completeness`
+says which of them a run carries reports from.
 """
 
 from __future__ import annotations
@@ -55,13 +41,6 @@ from .grids import Grid, tiles
 Pair = tuple[int, int]  # (generator, relation index)
 # Per relation: (index of its image, 1 if σ maps lhs to the image's rhs).
 Images = tuple[tuple[int, int], ...]
-# A run's record: each checked representative -> its two reports and the
-# class keys of its two sides' grids.
-Record = dict[Pair, tuple]
-# Where a run carries reports from: pair -> (its representative, the index
-# of the letter map carrying the representative onto it); the letter maps
-# (σ, relation images); the record that holds the representatives.
-Source = tuple[dict[Pair, tuple[Pair, int]], tuple[tuple[tuple[int, ...], Images], ...], Record]
 
 # Letter assignments the automorphism search may try before it stops.  A
 # stopped search returns the automorphisms found so far: fewer symmetries
@@ -240,18 +219,18 @@ def carry(
     return tuple(out[i] for i in order), order
 
 
-def from_mirror(source: Presentation, p: Presentation) -> tuple[dict, tuple] | None:
-    """If the identity m verifies as a letter map from `source`, p's mirror,
-    onto p, the table and letter maps (σ, relation images) that carry its
+def from_mirror(p: Presentation) -> tuple[dict, tuple] | None:
+    """If the identity m verifies as a letter map from `p.mirrored` onto
+    p, the table and letter maps (σ, relation images) that carry its
     runs onto p: m∘σ for the k-th σ of its orbits at index k, then m; every
     pair of p from its m-preimage if a representative, else from σ's
     representative by m∘σ.  Plain ints, compiled once per presentation as
     `Presentation.from_mirror`."""
     identity = tuple(range(len(p.letters)))
-    images = automorphism_relations(source, identity, p)
+    images = automorphism_relations(p.mirrored, identity, p)
     if images is None:
         return None
-    automorphisms, carried = source.orbits
+    automorphisms, carried = p.mirrored.orbits
     # m∘σ maps a relation to m's image of its σ image, flipped where σ flips.
     pick = (images, tuple((j, 1 - flip) for j, flip in images))
     maps = [
@@ -263,21 +242,3 @@ def from_mirror(source: Presentation, p: Presentation) -> tuple[dict, tuple] | N
     table = {(s, m[i]): ((s, i), len(automorphisms)) for s in identity for i in range(len(m))}
     table.update({(s, m[i]): entry for (s, i), entry in carried.items()})
     return table, tuple(maps)
-
-
-def carry_source(
-    p: Presentation, record: Record, mirror: tuple[Presentation, Record] | None = None
-) -> Source:
-    """Where a run over p carries reports from: a finished run over p's
-    mirror, given as `mirror` (a presentation equal to `p.mirrored` and its
-    run's record), if its record is not empty and `p.from_mirror` carries
-    it onto p; else p's own orbits, with `record`, the run's own.  The
-    tables and letter maps are compiled data of p."""
-    if mirror is not None:
-        source, recorded = mirror
-        if source is not p.mirrored:  # an equal copy: its orbits are p.mirrored's
-            vars(p.mirrored).setdefault("orbits", source.orbits)
-        if recorded and p.from_mirror is not None:
-            return (*p.from_mirror, recorded)
-    maps, table = p.orbits
-    return table, maps, record

@@ -142,6 +142,30 @@ def test_an_empty_color_list_is_rejected(name):
         rv.catalog.entry(name, 4, ())
 
 
+# The call and the message of the PresentationError it raises.
+CATALOG_GUARDS = {
+    "colored_braid(1, ab)": (lambda: rv.colored_braid(1, "ab"), "braid families need n >= 2"),
+    "restricted_colored(1, ab)": (
+        lambda: rv.restricted_colored(1, "ab"), "braid families need n >= 2"
+    ),
+    "colored_braid(3, [a, a])": (lambda: rv.colored_braid(3, ["a", "a"]), "duplicate colors"),
+    "color_names(0)": (
+        lambda: rv.catalog.color_names(0), "color count must be between 1 and 26"
+    ),
+    "color_names(27)": (
+        lambda: rv.catalog.color_names(27), "color count must be between 1 and 26"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CATALOG_GUARDS)
+def test_catalog_guards_reject_bad_sizes_and_colors(name):
+    call, message = CATALOG_GUARDS[name]
+    with pytest.raises(rv.PresentationError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_relation_order_is_reproducible():
     p = rv.colored_braid(4, ["a", "b"])
     q = rv.colored_braid(4, ["a", "b"])

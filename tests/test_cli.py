@@ -71,13 +71,19 @@ def test_lcm_and_multiple():
     assert "no common right multiple" in out
 
 
-def test_defect_command():
+def test_defect_command(tmp_path):
     code, out, _ = invoke("defect", "--catalog", "colored-braid", "--n", "4", "--json")
     assert code == EXIT_YES
     assert json.loads(out)["value"] == 5
     code, out, _ = invoke("defect", "--catalog", "restricted-colored", "--n", "4")
     assert code == EXIT_NO
     assert "infinite" in out
+    # Complete under this class budget, but its defect needs a larger class.
+    path = tmp_path / "tight.txt"
+    path.write_text("gens: x0 x1 x2 x3\nrel: x2 = x0\nrel: x3 x0 x2 = x3 x2 x0\n", encoding="utf-8")
+    code, out, _ = invoke("defect", "--file", str(path), "--max-class-size", "2")
+    assert (code, out) == (EXIT_INCONCLUSIVE, "defect: budget exhausted\n")
+    assert EXIT_INCONCLUSIVE == 2
 
 
 def test_reverse_and_grids():

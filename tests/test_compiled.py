@@ -217,9 +217,9 @@ def test_carrying_data_is_plain_and_compiled_once(monkeypatch):
     calls = []
     carry = symmetry.from_mirror
 
-    def counted(source, p):
+    def counted(p):
         calls.append(p)
-        return carry(source, p)
+        return carry(p)
 
     monkeypatch.setattr(symmetry, "from_mirror", counted)
     p = rv.colored_braid(4, ["a", "b"])

@@ -69,6 +69,26 @@ def test_parse_errors_carry_position():
         rv.parse_presentation("gens: a\ngens: b")
 
 
+# source -> (line, column, message) of the ParseError it raises.
+PARSE_ERRORS = {
+    "gens: a b\nrel a = b": (2, 1, "expected 'gens:', 'weights:' or 'rel:'"),
+    "gens: a b\nweights: a=1\nweights: b=1": (3, 1, "duplicate 'weights:' line"),
+    "gens: a b\nweights: a2": (2, 10, "expected tok=posint, got 'a2'"),
+    "gens: a b\nweights: a=2 a=3": (2, 14, "duplicate weight for 'a'"),
+    "gens: a b\nrel: a b": (2, 5, "relation needs '='"),
+    "gens: a b\nrels: a = b": (2, 1, "unknown directive 'rels'"),
+}
+
+
+@pytest.mark.parametrize("source", PARSE_ERRORS)
+def test_parse_errors_give_line_column_and_message(source):
+    line, column, message = PARSE_ERRORS[source]
+    with pytest.raises(ParseError) as exc:
+        rv.parse_presentation(source)
+    assert (exc.value.line, exc.value.column) == (line, column)
+    assert str(exc.value) == f"line {line}, column {column}: {message}"
+
+
 def test_parse_error_survives_pickling():
     with pytest.raises(ParseError) as exc:
         rv.parse_presentation("gens: a b\nrel: a c = b a")

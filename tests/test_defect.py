@@ -105,6 +105,22 @@ def test_a_defect_decided_under_a_tight_budget_is_the_default_one():
     assert decided >= 6
 
 
+# Complete under a class budget of 2, but the defect compares targets in
+# the class of x3 x0 x2, which has four words.
+BUDGET_LIMITED = "gens: x0 x1 x2 x3\nrel: x2 = x0\nrel: x3 x0 x2 = x3 x2 x0\n"
+
+
+def test_a_defect_cut_by_the_class_budget_is_budget_limited():
+    p = rv.parse_presentation(BUDGET_LIMITED)
+    tight = rv.Budget(max_class_size=2)
+    rv.check_completeness.cache_clear()
+    assert rv.check_completeness(p, tight).verdict is Verdict.COMPLETE
+    result = rv.defect(p, tight)
+    assert result == DefectResult(None, None) and result.is_budget_limited
+    assert rv.defect(p).value == 0 and not rv.defect(p).is_budget_limited
+    rv.check_completeness.cache_clear()
+
+
 def test_the_default_budget_shares_one_cache_entry():
     p = rv.colored_braid(3, ["a", "b"])
     rv.check_completeness.cache_clear()

@@ -287,6 +287,17 @@ def _forge_pass_tile(p, g):
     return dataclasses.replace(g, cells=g.cells[:i] + (forged,) + g.cells[i + 1 :])
 
 
+def _swap_first_choices(g):
+    """g with its first two choice cells swapped: each tile still applies,
+    but the replay meets them at the wrong cells."""
+    choices = (TileKind.RELATION, TileKind.CANCEL)
+    i, j = [i for i, c in enumerate(g.cells) if c.kind in choices][:2]
+    cells = list(g.cells)
+    cells[i], cells[j] = cells[j], cells[i]
+    return dataclasses.replace(g, cells=tuple(cells))
+
+
+SWAP_ERROR = "edge mismatch: expected cell (0, 1), trace has (0, 2)"
 CONTEXT_ERROR = (ValueError, "the context belongs to another presentation or budget")
 # name -> (the call, given braid(4), a grid g and two grids g1, g2 that
 # compose; what it returns, or the error type and message it raises).
@@ -301,6 +312,12 @@ ERROR_PATHS = {
     "check_grid: a forged pass tile": (
         lambda p, g, g1, g2: rv.check_grid(p, _forge_pass_tile(p, g)),
         "replayed cells differ from the stored trace",
+    ),
+    "check_grid: swapped choice cells": (
+        lambda p, g, g1, g2: rv.check_grid(p, _swap_first_choices(g)), SWAP_ERROR
+    ),
+    "replay: swapped choice cells": (
+        lambda p, g, g1, g2: rv.replay(_swap_first_choices(g)), (rv.GridError, SWAP_ERROR)
     ),
     "compose_h: different alphabets": (
         lambda p, g, g1, g2: rv.compose_h(
@@ -327,6 +344,12 @@ ERROR_PATHS = {
     "split_h: k above range": (
         lambda p, g, g1, g2: rv.split_h(g, len(g.source[1]) + 1),
         (rv.GridError, "split position 4 out of range"),
+    ),
+    "split_h: an extra choice cell": (
+        lambda p, g, g1, g2: rv.split_h(
+            dataclasses.replace(g, cells=g.cells + (g.choice_cells()[0],)), 1
+        ),
+        (rv.GridError, "trace has unused cells"),
     ),
     "check_diamond: another presentation": (
         lambda p, g, g1, g2: rv.check_diamond(

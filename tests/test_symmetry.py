@@ -25,7 +25,7 @@ from conftest import catalog_presentations, direct_pairs, is_carried
 from strategies import (
     artin_presentations, multi_relation_presentations, symmetric_presentations, with_mirror
 )
-from reversal import symmetry
+from reversal import completeness, symmetry
 from reversal.completeness import (
     RHS_TO_LHS,
     DiamondContext,
@@ -158,9 +158,9 @@ def test_one_search_and_one_verification_per_presentation(monkeypatch):
         verified.append(sigma)
         return verify(p, sigma, q)
 
-    def counted_from_mirror(source, p):
+    def counted_from_mirror(p):
         compiled.append(p)
-        return carry(source, p)
+        return carry(p)
 
     monkeypatch.setattr(symmetry, "find_automorphisms", counted_search)
     monkeypatch.setattr(symmetry, "automorphism_relations", counted_verify)
@@ -178,10 +178,12 @@ def test_one_search_and_one_verification_per_presentation(monkeypatch):
     assert len(compiled) == 1 and compiled[0] is p.mirrored
 
 
-def test_an_equal_copy_of_the_mirror_lends_its_orbits(monkeypatch):
-    # A run over q that reads the cached run over an equal copy of its
-    # mirror takes that copy's orbit table, which is q's, and the defect
-    # after it reads the same table: one automorphism search in all.
+def test_a_run_carries_from_the_run_over_an_equal_copy_of_its_mirror(monkeypatch):
+    # A run over q that finds the cached run over an equal copy of its
+    # mirror carries every pair from that copy's record: equal
+    # presentations have the same orbits and representatives.  The copy
+    # and q.mirrored are searched once each, and the defect after the run
+    # reads q.mirrored's table.
     searched = []
     search = find_automorphisms
     monkeypatch.setattr(symmetry, "find_automorphisms", lambda p: searched.append(p) or search(p))
@@ -191,9 +193,9 @@ def test_an_equal_copy_of_the_mirror_lends_its_orbits(monkeypatch):
     rv.check_completeness.cache_clear()
     assert rv.check_completeness(copy).verdict is Verdict.COMPLETE
     assert all(is_carried(rep) for rep in rv.check_completeness(q).pairs)
-    assert rv.defect(q).value is not None
-    assert searched == [copy]
-    assert q.orbits is copy.orbits
+    assert rv.defect(q).value == 5  # as from a run over q alone
+    assert searched == [copy, q.mirrored]
+    assert q.orbits is q.mirrored.orbits
     # The copy equals q.mirrored, so q's compiled mirror table served the
     # run over q.
     assert "from_mirror" in vars(q)
@@ -212,8 +214,10 @@ def test_transported_grids_equal_enumeration_of_the_image():
         for p in (base, rv.mirror(base)):
             maps, exhaustive = find_automorphisms(p)
             assert exhaustive and len(maps) > 1, name
-            table, syms, record = symmetry.carry_source(p, {})
-            assert table is p.orbits[1] and syms is p.orbits[0] and record == {}, name
+            # No cached run over the mirror: the run's own orbits and record.
+            rv.check_completeness.cache_clear()
+            assert_carrier(p, p.orbits[1], p.orbits[0])
+            syms = p.orbits[0]
             assert len(syms) == len(maps) - 1, name
             grids = {}
 
@@ -251,9 +255,16 @@ def test_mirror_carried_grids_equal_enumeration_of_the_image():
         assert set(table) == {(s, rel.index) for s in range(len(q.letters)) for rel in q.relations}
         assert len(syms) == len(p.orbits[0]) + 1 > 1, name
         # A run over q reads the mirror run's record, if it holds anything.
-        recorded = {(0, 0): None}
-        assert symmetry.carry_source(q, {}, (p, recorded)) == (table, syms, recorded), name
-        assert symmetry.carry_source(q, {}, (p, {}))[0] is q.orbits[1], name
+        rv.check_completeness.cache_clear()
+        rv.check_completeness(p)
+        assert_carrier(q, table, syms, mirror_record(q))
+        # The run over p after one over q carried every pair, so its record
+        # is empty: q's next run carries from its own orbits.
+        rv.check_completeness.cache_clear()
+        rv.check_completeness(q)
+        assert all(is_carried(rep) for rep in rv.check_completeness(p).pairs), name
+        assert mirror_record(q) == {}
+        assert_carrier(q, q.orbits[1], q.orbits[0])
         for sigma, by_relation in (syms[0], syms[-1]):
             for s in range(len(p.letters)):
                 for rel in p.relations:
@@ -267,8 +278,25 @@ def test_mirror_carried_grids_equal_enumeration_of_the_image():
     # No mirror source where the identity is no isomorphism: the own orbits only.
     m = rv.malcev()
     assert m.mirrored.from_mirror is None
-    own = symmetry.carry_source(m.mirrored, {}, (m, {(0, 0): None}))
-    assert own[:2] == m.mirrored.orbits[::-1]
+    rv.check_completeness.cache_clear()
+    rv.check_completeness(m)
+    assert mirror_record(m.mirrored)
+    assert_carrier(m.mirrored, m.mirrored.orbits[1], m.mirrored.orbits[0])
+    rv.check_completeness.cache_clear()
+
+
+def mirror_record(q):
+    """The record of the cached run over q's mirror under the default budget."""
+    return completeness._RUNS.peek(q.mirrored, rv.DEFAULT_BUDGET)
+
+
+def assert_carrier(q, table, syms, record=None):
+    """A new run over q carries with `table` and `syms`, and with `record`
+    (a cached mirror run's), or else with its own record."""
+    context = DiamondContext(q, rv.DEFAULT_BUDGET)
+    carrier = context.carrier
+    assert carrier.table is table and carrier.maps is syms
+    assert carrier.record is (context.representatives if record is None else record)
 
 
 def test_mirror_carried_grids_equal_enumeration_on_multi_relation_presentations():
