@@ -35,10 +35,14 @@ meet an incomplete class, so when the mirror run left a pair's preimage
 unrecorded, the pair's own representative would be unrecorded too.  A
 mirror record is empty when that run carried its pairs from its own
 mirror's run, or recorded none.  The cached mirror run may be over an
-equal copy of the mirror, which has the same orbits.  A pair is carried
-when the source's record holds its representative, and checked
-otherwise.  The source's table and letter maps are compiled data of the
-presentation, plain ints; a run adds its record and one `_Carrier`,
+equal copy of the mirror, which has the same orbits.  Both sources have
+one format: letter maps, the identity (or m) first, and a table of every
+pair -> (its representative, the index of the letter map carrying that
+onto it).  A pair is carried when the source's record holds its
+representative, and checked otherwise, as a representative of the run's
+own orbits is: the run records it only once checked.  The letter maps
+and table are compiled data of the presentation, plain ints; a run adds
+its record and one `_Carrier`,
 which every report it carries points at.  A carried report is a slotted
 `DiamondReport` holding its generator, relation, direction and status
 (and `exhausted` on a counterexample); the first read of its grids,
@@ -156,11 +160,11 @@ _set_generator, _set_relation, _set_direction, _set_status, _set_exhausted, _set
 
 
 # What one run carries reports with: its presentation p, its source (the
-# table, the letter maps and the record, as `DiamondContext.carrier` picks
-# them), and `built`, the two sides of each pair that one of its reports has
-# carried and the other has not yet read.  Every report the run carries
-# points at it until filled.
-_Carrier = namedtuple("_Carrier", "p table maps record built")
+# letter maps, the table of every pair and the record, as
+# `DiamondContext.carrier` picks them), and `built`, the two sides of each
+# pair that one of its reports has carried and the other has not yet read.
+# Every report the run carries points at it until filled.
+_Carrier = namedtuple("_Carrier", "p maps table record built")
 
 
 def _fill(report: DiamondReport) -> None:
@@ -322,16 +326,18 @@ class DiamondContext:
         record = _RUNS.peek(p.mirrored, self.b)
         if record and p.from_mirror is not None:
             return _Carrier(p, *p.from_mirror, record, {})
-        maps, table = p.orbits
-        return _Carrier(p, table, maps, self.representatives, {})
+        return _Carrier(p, *p.orbits, self.representatives, {})
 
     def transported(
         self, s: int, rel: Relation
     ) -> tuple[DiamondReport, DiamondReport] | None:
         """The reports of (s, rel) carried over from a checked
-        representative, or None when the pair must be checked itself: when
-        the record of the run's source holds the representative its table
-        gives for the pair.
+        representative, when the record of the run's source holds the
+        representative its table gives for the pair; else None, and the
+        pair must be checked itself.  A representative of the run's own
+        orbits is its own, and the run records it only once checked; a
+        pair of no generator of p, which the table does not list, is its
+        own too, so checking it raises as it does without a context.
 
         σ keeps congruence, so two carried grids have congruent targets
         exactly when their preimages' class keys are equal; each carried
@@ -339,11 +345,12 @@ class DiamondContext:
         representative's statuses at once, and are filled on first read
         (`_fill`)."""
         carrier = self.carrier
-        entry = carrier.table.get((s, rel.index))
-        data = None if entry is None else carrier.record.get(entry[0])
+        pair = (s, rel.index)
+        rep, i = carrier.table.get(pair, (pair, 0))
+        data = carrier.record.get(rep)
         if data is None:
             return None
-        (rep, i), reports = entry, data[0]
+        reports = data[0]
         flip = carrier.maps[i][1][rep[1]][1]  # 1 when σ maps the lhs side onto rel's rhs side
         out = (object.__new__(DiamondReport), object.__new__(DiamondReport))
         for k, report in enumerate(out):
@@ -605,7 +612,7 @@ def defect(p: Presentation, b: Budget = DEFAULT_BUDGET) -> DefectResult:
     best: DefectWitness | None = None
     for rep in report.pairs:
         pair = (rep.generator, rep.relation.index)
-        origin = p.orbits[1].get(pair, (pair,))[0]
+        origin = p.orbits[1][pair][0]
         if origin != pair and keyed[origin]:
             continue
         scan = _report_defect(context, rep)

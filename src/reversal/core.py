@@ -18,15 +18,18 @@ whether it is deterministic (no cell has two tiles) and its reversal
 table (what each cell's tile pushes in reversing), its rewrite index
 (the oriented relations with distinct sides, by the letter pair a match
 starts with), its oriented relation pairs, its mirror, its orbit table
-(its verified automorphisms and the orbits of (generator, relation)
-pairs under them) and its mirror table (the letter maps that carry runs
-over its mirror onto it); the last two come from `symmetry` and hold
-plain ints.  Each is built lazily from the presentation alone and never
-changes; none caches a computed result.  Racing threads get one mirror,
-kept by `setdefault`, so that the mirror's mirror is the presentation
-itself.  They are not fields, so equality, `repr`, copies and pickles
-ignore them, and a derived presentation compiles its own, except that a
-presentation shares its orbit table with its mirror.
+(its verified automorphisms, the identity first, and the orbits of
+(generator, relation) pairs under them) and its mirror table (the letter
+maps that carry runs over its mirror onto it, m first); the last two
+come from `symmetry`, hold plain ints and have one format: the letter
+maps, and every pair -> (its representative, the index of the map
+carrying that onto it).  Each is built lazily from the presentation
+alone and never changes; none caches a computed result.  Racing
+threads get one mirror, kept by `setdefault`, so that the mirror's
+mirror is the presentation itself.  They are not fields, so equality,
+`repr`, copies and pickles ignore them, and a derived presentation
+compiles its own, except that a presentation shares its orbit table with
+its mirror.
 """
 
 from __future__ import annotations
@@ -251,11 +254,12 @@ class Presentation:
         return vars(self).setdefault("mirrored", twin)
 
     @cached_property
-    def orbits(self) -> tuple:
-        """The verified automorphisms and the orbit table of (generator,
-        relation) pairs, from `symmetry.orbits`, or `mirrored`'s if it has
-        them: σ maps a relation onto an image exactly when it maps the
-        reversed relation onto the reversed image."""
+    def orbits(self) -> tuple[tuple, dict]:
+        """The verified automorphisms, the identity first, and the orbit
+        table of every (generator, relation) pair, from `symmetry.orbits`,
+        or `mirrored`'s if it has them: σ maps a relation onto an image
+        exactly when it maps the reversed relation onto the reversed
+        image."""
         twin = self.__dict__.get("mirrored")
         if twin is not None and "orbits" in twin.__dict__:
             return twin.orbits
@@ -264,10 +268,11 @@ class Presentation:
         return orbits(self)
 
     @cached_property
-    def from_mirror(self) -> tuple | None:
-        """The table and letter maps that carry runs over `mirrored` onto
-        self, from `symmetry.from_mirror`, or None if the identity does not
-        map the mirror onto self.  Plain ints, as `orbits` is."""
+    def from_mirror(self) -> tuple[tuple, dict] | None:
+        """The letter maps and the table that carry runs over `mirrored`
+        onto self, in the format of `orbits`, from `symmetry.from_mirror`;
+        or None if the identity does not map the mirror onto self.  Plain
+        ints, as `orbits` is."""
         from .symmetry import from_mirror  # symmetry imports this module
 
         return from_mirror(self)

@@ -38,11 +38,8 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from .congruence import Budget, DEFAULT_BUDGET
-from .core import Presentation, PresentationError, Tile, TileKind, Word
+from .core import EPSILON, Presentation, PresentationError, Tile, TileKind, Word
 from .core import is_right_complemented
-
-# Edge segments are labelled by a letter id, or by None for ε.
-EPS_WORD: Word = ()
 
 
 class ReversalStatus(enum.Enum):
@@ -112,14 +109,15 @@ def tiles(
 def _forced(left: int | None, top: int | None) -> tuple[Tile]:
     # Tiles are immutable, so the few forced ones are built once each.
     if left is None and top is None:
-        return (Tile(TileKind.EMPTY, None, None, EPS_WORD, EPS_WORD),)
+        return (Tile(TileKind.EMPTY, None, None, EPSILON, EPSILON),)
     if top is None:
-        return (Tile(TileKind.PASS_LEFT, left, None, right=(left,), bottom=EPS_WORD),)
-    return (Tile(TileKind.PASS_TOP, None, top, right=EPS_WORD, bottom=(top,)),)
+        return (Tile(TileKind.PASS_LEFT, left, None, right=(left,), bottom=EPSILON),)
+    return (Tile(TileKind.PASS_TOP, None, top, right=EPSILON, bottom=(top,)),)
 
 
 def _segs(w: Word) -> tuple:
-    """Edge segments of a tile output: its letters, or a single ε segment."""
+    """Edge segments of a tile output: its letters, or a single ε segment.
+    A segment is labelled by a letter id, or by None for ε."""
     return w if w else (None,)
 
 
@@ -455,13 +453,16 @@ def _replay(
 ) -> tuple[list, list, list]:
     """The one filling (cells, right labels, bottom labels) of the grid with
     sides `left` and `top`: ε cells take their forced tile, each
-    letter/letter cell the tile next_tile(data of its top segment)."""
+    letter/letter cell the tile next_tile(data of its top segment), which
+    is None once the trace has ended."""
 
     def choose(left_seg: tuple, top_seg: tuple) -> tuple[Tile, ...]:
         ell, t = left_seg[0], top_seg[0]
         if ell is None or t is None:
             return tiles(None, ell, t)
         tile = next_tile(top_seg[1])
+        if tile is None:
+            raise GridError("trace ended before the grid was filled")
         if tile.left != ell or tile.top != t:
             raise GridError(
                 f"edge mismatch: expected cell ({ell}, {t}), "
@@ -473,13 +474,6 @@ def _replay(
     return cells, [s for s, _ in right], [s for s, _ in bottom]
 
 
-def _next_tile(queue) -> Tile:
-    tile = next(queue, None)
-    if tile is None:
-        raise GridError("trace ended before the grid was filled")
-    return tile
-
-
 def _replay_trace(
     left: Sequence[tuple],
     top: Sequence[tuple],
@@ -489,7 +483,7 @@ def _replay_trace(
     """`_replay` whose letter/letter cells are `choice_cells`, in trace
     order; raises GridError when the trace ends early or has cells left."""
     queue = iter(choice_cells)
-    filling = _replay(left, top, lambda _: _next_tile(queue), carry)
+    filling = _replay(left, top, lambda _: next(queue, None), carry)
     if next(queue, None) is not None:
         raise GridError("trace has unused cells")
     return filling
@@ -523,7 +517,7 @@ def compose_h(g1: Grid, g2: Grid) -> Grid:
     queues = {1: iter(g1.choice_cells()), 2: iter(g2.choice_cells())}
     u = g1.source[0]
     top = _pairs(g1.source[1], 1) + _pairs(g2.source[1], 2)
-    filling = _replay(_pairs(u), top, lambda tag: _next_tile(queues[tag]))
+    filling = _replay(_pairs(u), top, lambda tag: next(queues[tag], None))
     for tag, queue in queues.items():
         if next(queue, None) is not None:
             raise GridError(f"grid {tag} has cells not used by the composition")
@@ -540,19 +534,16 @@ def split_h(g: Grid, k: int) -> tuple[Grid, Grid]:
     u, v = g.source
     if not 0 <= k <= len(v):
         raise GridError(f"split position {k} out of range")
-    queue = iter(g.choice_cells())
     by_region: dict[object, list[Tile]] = {1: [], 2: []}
 
-    def record(tag: object) -> Tile:
-        tile = _next_tile(queue)
-        by_region[tag].append(tile)
-        return tile
+    def carry(tile: Tile, left: tuple, top: tuple) -> tuple[list, list]:
+        if left[0] is not None and top[0] is not None:  # a choice cell
+            by_region[top[1]].append(tile)
+        return _carry_tag(tile, left, top)
 
     # Walk the original trace, attributing each choice cell to the region
     # of its top segment.
-    _replay(_pairs(u), _pairs(v[:k], 1) + _pairs(v[k:], 2), record)
-    if next(queue, None) is not None:
-        raise GridError("trace has unused cells")
+    _replay_trace(_pairs(u), _pairs(v[:k], 1) + _pairs(v[k:], 2), g.choice_cells(), carry)
     g_left = _rebuild(g.letters, (u, v[:k]), by_region[1])
     g_right = _rebuild(g.letters, (g_left.target[0], v[k:]), by_region[2])
     return g_left, g_right

@@ -10,8 +10,10 @@ It maps congruence onto congruence and the grids from (s, w) one-to-one
 onto those from (σs, σw), tile by tile, so it maps the diamond reports
 of a pair onto those of its image.  `automorphism_relations` is the one
 verifier of such maps.  `find_automorphisms` searches for automorphisms;
-`orbits` keeps each that passes the verifier, and returns plain ints,
-once per presentation (`Presentation.orbits`, shared with the mirror).
+`orbits` keeps each that passes the verifier, after the identity, and
+maps every pair to (its representative, the index of the map carrying
+that onto it), in plain ints, once per presentation
+(`Presentation.orbits`, shared with the mirror).
 
 `carry` maps grids along a compiled letter map, tile by tile: each tile
 maps, by its value, to the target's own tile of the image cell with the
@@ -22,13 +24,12 @@ shared with no other grid.
 
 Reversing every relation gives back the same relation set in the braid
 and colored braid monoids, so there the identity m is a letter map from
-a presentation's mirror onto it.  `from_mirror` compiles the letter maps
-that carry the mirror's pairs onto p: m∘σ for each σ of the mirror's
-orbits, then m.  Its table, like the orbit table, maps a pair to (its
-representative, the index of the letter map carrying that onto it).
-Both are plain ints, compiled once per presentation
-(`Presentation.orbits`, `Presentation.from_mirror`); `completeness`
-says which of them a run carries reports from.
+a presentation's mirror onto it.  `from_mirror` relabels the mirror's
+orbit table by m: its letter maps are m∘σ for each σ of the mirror's
+orbits, so m itself at index 0, and each pair of p takes the entry of
+its m-preimage.  Both tables are plain ints in one format, compiled once
+per presentation (`Presentation.orbits`, `Presentation.from_mirror`);
+`completeness` says which of them a run carries reports from.
 """
 
 from __future__ import annotations
@@ -160,29 +161,23 @@ def automorphism_relations(
 
 
 def orbits(p: Presentation) -> tuple[tuple[tuple[tuple[int, ...], Images], ...], dict]:
-    """The automorphisms of p other than the identity that pass the
-    verifier, each with its relation images, in the order found; and
-    (generator, relation index) -> (its representative, the index of a σ
-    mapping the representative onto it), for every pair that is not a
-    representative.  A representative is the first pair of its orbit in
-    checking order: by generator, then relation."""
+    """The letter maps of p's orbits, each with its relation images: the
+    identity first, then the other automorphisms that pass the verifier,
+    in the order found; and, for every (generator, relation index) pair,
+    (its representative, the index of a map carrying the representative
+    onto it).  A representative is the first pair of its orbit in checking
+    order (by generator, then relation), and maps to (itself, 0)."""
     identity = tuple(range(len(p.letters)))
-    syms = []
+    syms = [(identity, tuple((rel.index, 0) for rel in p.relations))]
     for sigma in find_automorphisms(p)[0]:
         images = None if sigma == identity else automorphism_relations(p, sigma)
         if images is not None:
             syms.append((sigma, images))
     table: dict[Pair, tuple[Pair, int]] = {}
-    seen: set[Pair] = set()
-    for rep in [(s, rel.index) for s in range(len(p.letters)) for rel in p.relations]:
-        if rep in seen:
-            continue
-        seen.add(rep)
-        for k, (sigma, images) in enumerate(syms):
-            image = (sigma[rep[0]], images[rep[1]][0])
-            if image not in seen:
-                seen.add(image)
-                table[image] = (rep, k)
+    for pair in [(s, rel.index) for s in identity for rel in p.relations]:
+        if pair not in table:
+            for k, (sigma, images) in enumerate(syms):
+                table.setdefault((sigma[pair[0]], images[pair[1]][0]), (pair, k))
     return tuple(syms), table
 
 
@@ -219,26 +214,23 @@ def carry(
     return tuple(out[i] for i in order), order
 
 
-def from_mirror(p: Presentation) -> tuple[dict, tuple] | None:
+def from_mirror(p: Presentation) -> tuple[tuple, dict] | None:
     """If the identity m verifies as a letter map from `p.mirrored` onto
-    p, the table and letter maps (σ, relation images) that carry its
-    runs onto p: m∘σ for the k-th σ of its orbits at index k, then m; every
-    pair of p from its m-preimage if a representative, else from σ's
-    representative by m∘σ.  Plain ints, compiled once per presentation as
+    p, the letter maps (σ, relation images) and the table that carry its
+    runs onto p, in the format of `orbits`: m∘σ for the k-th σ of its
+    orbits at index k, so m itself at index 0; and every pair of p, as the
+    m-image of a pair of the mirror, with that pair's entry in the
+    mirror's orbit table.  Plain ints, compiled once per presentation as
     `Presentation.from_mirror`."""
     identity = tuple(range(len(p.letters)))
     images = automorphism_relations(p.mirrored, identity, p)
     if images is None:
         return None
-    automorphisms, carried = p.mirrored.orbits
+    automorphisms, table = p.mirrored.orbits
     # m∘σ maps a relation to m's image of its σ image, flipped where σ flips.
     pick = (images, tuple((j, 1 - flip) for j, flip in images))
-    maps = [
+    maps = tuple(
         (sigma, tuple([pick[flip][i] for i, flip in by_sigma]))
         for sigma, by_sigma in automorphisms
-    ]
-    maps.append((identity, images))
-    m = [j for j, _ in images]
-    table = {(s, m[i]): ((s, i), len(automorphisms)) for s in identity for i in range(len(m))}
-    table.update({(s, m[i]): entry for (s, i), entry in carried.items()})
-    return table, tuple(maps)
+    )
+    return maps, {(s, images[i][0]): entry for (s, i), entry in table.items()}

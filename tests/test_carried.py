@@ -290,13 +290,14 @@ def test_a_run_carries_with_one_carrier():
         rv.check_completeness.cache_clear()
     left, right = carriers
     assert left.table is p.orbits[1] and left.maps is p.orbits[0]
-    assert (right.table, right.maps) == p.mirrored.from_mirror
+    assert (right.maps, right.table) == p.mirrored.from_mirror
     assert right is not left and right.record is left.record  # the left run's
 
 
 def test_carried_counterexamples_have_their_witness():
     p = rv.restricted_colored(4, ["a", "b", "c"])
-    carried = p.orbits[1]
+    # The pairs whose representative is another pair.
+    carried = {pair for pair, (rep, _) in p.orbits[1].items() if rep != pair}
     report = rv.check_completeness(p)
     assert report.verdict is Verdict.INCOMPLETE
     direct = direct_pairs(p)

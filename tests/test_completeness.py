@@ -4,12 +4,14 @@ import dataclasses
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reversal as rv
 from conftest import rand_word
 from reversal.completeness import (
+    DiamondContext,
     DiamondStatus,
     LHS_TO_RHS,
     RHS_TO_LHS,
@@ -99,6 +101,20 @@ def test_completeness_report_lists_both_directions(braid3):
         for rel in braid3.relations:
             assert (s, rel.index, LHS_TO_RHS) in dirs
             assert (s, rel.index, RHS_TO_LHS) in dirs
+
+
+def test_a_generator_outside_p_raises_the_same_error_within_a_run(braid4):
+    # A run's context carries only pairs of p; another pair is checked, and
+    # fails as it does alone, whichever source the context carries from.
+    p = braid4
+    rv.check_completeness.cache_clear()
+    rv.check_completeness(p)  # so a context over the mirror carries from it
+    for q in (p, p.mirrored):
+        for s in (len(q.letters), -1):
+            for context in (None, DiamondContext(q, rv.DEFAULT_BUDGET)):
+                with pytest.raises(rv.PresentationError, match=f"^unknown letter id {s}$"):
+                    rv.check_diamond(q, s, q.relations[0], rv.DEFAULT_BUDGET, context)
+    rv.check_completeness.cache_clear()
 
 
 def test_completeness_inhomogeneous_is_inconclusive():

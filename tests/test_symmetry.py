@@ -6,7 +6,8 @@ and reports to the rest of the orbit; a run over a presentation's mirror
 carries reports from the run over the presentation.  These tests hold
 the carried reports to the direct ones: the verifier, within one
 presentation and between two, one search and one verification per
-presentation and its mirror (or an equal copy of it), grid transport (along automorphisms and onto
+presentation and its mirror (or an equal copy of it), the one format of
+the orbit and mirror tables, grid transport (along automorphisms and onto
 the mirror) against enumeration of the image, whole reports against
 standalone `check_diamond`
 and against matching by distances, random symmetric presentations, and a
@@ -118,7 +119,8 @@ def test_wrong_maps_handed_in_are_not_used(monkeypatch):
     monkeypatch.setattr(symmetry, "find_automorphisms", lambda q: (wrong + maps, True))
     syms = p.orbits[0]
     assert all(automorphism_relations(p, sigma) == images for sigma, images in syms)
-    assert [sigma for sigma, _ in syms] == non_identity(maps)
+    assert syms[0][0] == tuple(range(len(p.letters)))
+    assert [sigma for sigma, _ in syms[1:]] == non_identity(maps)
     assert_reports_are_direct(p)
 
 
@@ -129,16 +131,18 @@ def test_mirror_reuses_the_automorphisms():
         orbits = p.orbits
         assert p.mirrored.orbits is orbits, name
         syms = orbits[0]
-        assert set(non_identity(find_automorphisms(rv.mirror(p))[0])) == {
-            sigma for sigma, _ in syms
-        }, name
+        assert set(non_identity(find_automorphisms(rv.mirror(p))[0])) == set(
+            non_identity([sigma for sigma, _ in syms])
+        ), name
         for sigma, images in syms:  # the mirror's verifier gives the same images
             assert automorphism_relations(p.mirrored, sigma) == images, name
     # The other way round: a presentation reuses its mirror's table.
     p = rv.restricted_colored(4, ["a", "b"])
     orbits = p.mirrored.orbits
     assert p.orbits is orbits
-    assert set(non_identity(find_automorphisms(p)[0])) == {sigma for sigma, _ in orbits[0]}
+    assert set(non_identity(find_automorphisms(p)[0])) == set(
+        non_identity([sigma for sigma, _ in orbits[0]])
+    )
     for sigma, images in orbits[0]:
         assert automorphism_relations(p, sigma) == images
 
@@ -218,7 +222,7 @@ def test_transported_grids_equal_enumeration_of_the_image():
             rv.check_completeness.cache_clear()
             assert_carrier(p, p.orbits[1], p.orbits[0])
             syms = p.orbits[0]
-            assert len(syms) == len(maps) - 1, name
+            assert len(syms) == len(maps), name
             grids = {}
 
             def enumerate_side(s, side):
@@ -242,7 +246,8 @@ def test_transported_grids_equal_enumeration_of_the_image():
 
 
 def test_mirror_carried_grids_equal_enumeration_of_the_image():
-    # m∘σ for p's first σ, and the identity m from p onto its mirror.
+    # m∘σ for p's first σ other than the identity, and the identity m
+    # from p onto its mirror.
     specs = {
         "cb3abc": rv.colored_braid(3, ["a", "b", "c"]),
         "rc4abc": rv.restricted_colored(4, ["a", "b", "c"]),
@@ -250,10 +255,10 @@ def test_mirror_carried_grids_equal_enumeration_of_the_image():
     }
     for name, p in specs.items():
         q = p.mirrored
-        table, syms = q.from_mirror
+        syms, table = q.from_mirror
         # Every pair of q is listed, its preimage's run recorded or not.
         assert set(table) == {(s, rel.index) for s in range(len(q.letters)) for rel in q.relations}
-        assert len(syms) == len(p.orbits[0]) + 1 > 1, name
+        assert len(syms) == len(p.orbits[0]) > 1, name
         # A run over q reads the mirror run's record, if it holds anything.
         rv.check_completeness.cache_clear()
         rv.check_completeness(p)
@@ -265,7 +270,7 @@ def test_mirror_carried_grids_equal_enumeration_of_the_image():
         assert all(is_carried(rep) for rep in rv.check_completeness(p).pairs), name
         assert mirror_record(q) == {}
         assert_carrier(q, q.orbits[1], q.orbits[0])
-        for sigma, by_relation in (syms[0], syms[-1]):
+        for sigma, by_relation in (syms[1], syms[0]):
             for s in range(len(p.letters)):
                 for rel in p.relations:
                     for side in (rel.lhs, rel.rhs):
@@ -309,7 +314,7 @@ def test_mirror_carried_grids_equal_enumeration_on_multi_relation_presentations(
     @given(multi_relation_presentations().map(with_mirror))
     def check(p):
         q = p.mirrored
-        _, syms = q.from_mirror
+        syms, _ = q.from_mirror
         for sigma, by_relation in syms:
             for s in range(len(p.letters)):
                 for side in {side for rel in p.relations for side in (rel.lhs, rel.rhs)}:
@@ -328,6 +333,62 @@ def test_mirror_carried_grids_equal_enumeration_on_multi_relation_presentations(
 
     check()
     assert seen["several"] and seen["grids"], seen
+
+
+def assert_carry_table(q, maps, table, reps) -> int:
+    """`maps` and `table` carry onto every pair of q from a pair of `reps`
+    (a presentation's orbit table): (rep, k) with maps[k] mapping rep onto
+    the pair, and rep a representative.  The count of non-identity k."""
+    pairs = [(s, rel.index) for s in range(len(q.letters)) for rel in q.relations]
+    assert set(table) == set(pairs)
+    for pair in pairs:
+        rep, k = table[pair]
+        sigma, images = maps[k]
+        assert (sigma[rep[0]], images[rep[1]][0]) == pair
+        assert reps[rep] == (rep, 0)
+    return sum(k > 0 for _, k in table.values())
+
+
+def assert_table_format(p) -> int:
+    """Both carry tables of p list every pair in one format, with the
+    identity (m, for the mirror's) at index 0: see `assert_carry_table`.
+    In p's own table a pair is its own representative exactly at index 0,
+    and a representative comes no later than its pairs in checking order.
+    The count of pairs carried by a non-identity map."""
+    identity = tuple(range(len(p.letters)))
+    maps, table = p.orbits
+    assert maps[0] == (identity, automorphism_relations(p, identity))
+    assert all(automorphism_relations(p, sigma) == images for sigma, images in maps)
+    carried = assert_carry_table(p, maps, table, table)
+    for pair, (rep, k) in table.items():
+        assert (k == 0) == (rep == pair) and rep <= pair
+    if p.from_mirror is not None:
+        maps, table = p.from_mirror
+        assert len(maps) == len(p.orbits[0])
+        assert maps[0] == (identity, automorphism_relations(p.mirrored, identity, p))
+        assert all(automorphism_relations(p.mirrored, m, p) == images for m, images in maps)
+        carried += assert_carry_table(p, maps, table, p.mirrored.orbits[1])
+    return carried
+
+
+def test_both_carry_tables_list_every_pair_in_one_format():
+    for name, p in catalog_presentations().items():
+        for q in (p, p.mirrored):
+            assert assert_table_format(q) > 0 or name == "malcev", name
+    assert rv.braid(4).from_mirror is not None and rv.malcev().from_mirror is None
+    seen = {"carried": 0, "mirror": 0}
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(
+        multi_relation_presentations(), multi_relation_presentations().map(with_mirror)
+    ))
+    def check(p):
+        for q in (p, p.mirrored):
+            seen["carried"] += assert_table_format(q)
+            seen["mirror"] += q.from_mirror is not None
+
+    check()
+    assert seen["carried"] and seen["mirror"], seen
 
 
 def test_check_completeness_equals_standalone_diamonds():
@@ -375,7 +436,7 @@ def test_node_cap_stops_the_search_and_keeps_the_reports():
     maps, exhaustive = find_automorphisms(p)
     assert not exhaustive
     assert all(automorphism_relations(p, sigma) is not None for sigma in maps)
-    assert p.orbits[1]  # some pairs are still carried over
+    assert any(k > 0 for _, k in p.orbits[1].values())  # some pairs are still carried over
     assert_reports_are_direct(p)
     assert_reports_are_direct(rv.mirror(p))
 
